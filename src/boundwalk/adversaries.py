@@ -1,6 +1,7 @@
 """Adversarial instance builders: the recursive lower-bound family, the
 half-split adaptive adversary for complete and complete bipartite graphs,
-the fixed grid trap, and seeded random instance generation.
+the fixed grid trap, and seeded random instance generation.  `FAMILIES`
+describes each family once for the command line, config stubs and sweeps.
 
 Adaptive sources here are stateless functions of the agent's visit history,
 so they are deterministic and replayable by construction.
@@ -8,11 +9,12 @@ so they are deterministic and replayable by construction.
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .engine import FixedAssignment, run_episode
+from .engine import FixedAssignment, WeightSource, run_episode
 from .graph import (Edge, EstimateGraph, Walk, WeightAssignment, alpha_of,
                     shortest_paths, validate, walk_of_vertices)
 from .solver import DEFAULT_EXACT_CAP
@@ -409,12 +411,6 @@ def _grid_id(m: int, row: int, col: int) -> int:
     return col * m + pos
 
 
-def _grid_coords(m: int, vid: int) -> tuple[int, int]:
-    col, pos = divmod(vid, m)
-    row = pos if col % 2 == 0 else m - 1 - pos
-    return row, col
-
-
 def build_grid_trap(spec: GridSpec, *, verify_adaptive: bool = True,
                     solver_cap: int = DEFAULT_EXACT_CAP) -> GridBundle:
     """m*m grid, uniform announcements [1, alpha], fixed actual weights.
@@ -572,3 +568,123 @@ def random_uniform_assignment(graph: EstimateGraph,
         weights[eid] = e.lower + (e.upper - e.lower) * Fraction(
             rng.randint(0, 8), 8)
     return WeightAssignment(weights)
+
+
+# ---------------------------------------------------------------------------
+# family table: the one description of each family
+# ---------------------------------------------------------------------------
+
+def parse_fraction(text: str | int | Fraction) -> Fraction:
+    """Accept "p/q", integer, or exact decimal strings like "1.5", or a
+    Fraction; floats are refused as inexact."""
+    if isinstance(text, (int, str, Fraction)):
+        return Fraction(text)
+    raise ValueError(f"cannot parse exact rational from {text!r}")
+
+
+_PARSERS = {"k": int, "depth": int, "m": int, "n": int,
+            "alpha": parse_fraction, "density": float, "law": str}
+_DEFAULTS = {"alpha": Fraction(2), "density": 0.5, "law": "mixed"}
+
+
+class Instance(NamedTuple):
+    """A built instance; `certificate` is the offline walk (or a function of
+    the realized weights giving one) used beyond the exact oracle."""
+
+    graph: EstimateGraph
+    source: WeightSource
+    certificate: Walk | Callable | None
+
+
+# Theorem bounds as (bound, kind) for an instance of spread alpha: kind
+# "ratio_max" means ratio <= bound, "online_min" online cost >= bound.
+
+def _ratio_bound(explorer: str, alpha: Fraction, params: dict):
+    # precompute and adaptive are alpha-competitive; nn has no bound
+    return (alpha if explorer in ("precompute", "adaptive") else None,
+            "ratio_max")
+
+
+def _half_split_bound(explorer: str, alpha: Fraction, params: dict):
+    # replanning is (1+alpha)/2-competitive on uniform announcements
+    if explorer == "adaptive":
+        return (alpha + 1) / 2, "ratio_max"
+    return _ratio_bound(explorer, alpha, params)
+
+
+def _recursive_bound(explorer: str, alpha: Fraction, params: dict):
+    # the construction forces this online cost on every explorer
+    spec = RecursiveSpec(params["k"], params["depth"], alpha)
+    return recursive_online_lower_bound(spec), "online_min"
+
+
+# The builders name the public ones at call time, so wrapping a module
+# attribute (as a profiler does) also covers calls through the table.
+
+def _recursive(p: dict, seed: int, verify_adaptive: bool = False) -> Instance:
+    bundle = build_recursive(RecursiveSpec(p["k"], p["depth"], p["alpha"]))
+    return Instance(bundle.graph, bundle.source, bundle.certificate)
+
+
+def _complete(p: dict, seed: int, verify_adaptive: bool = False) -> Instance:
+    bundle = build_complete_adversary(CompleteAdvSpec(p["k"], p["alpha"]))
+    return Instance(bundle.graph, bundle.source, None)
+
+
+def _bipartite(p: dict, seed: int, verify_adaptive: bool = False) -> Instance:
+    bundle = build_bipartite_adversary(CompleteAdvSpec(p["n"], p["alpha"]))
+    return Instance(bundle.graph, bundle.source, None)
+
+
+def _grid(p: dict, seed: int, verify_adaptive: bool = False) -> Instance:
+    bundle = build_grid_trap(GridSpec(p["m"], p["alpha"]),
+                             verify_adaptive=verify_adaptive)
+    if verify_adaptive and not bundle.adaptive_verified:
+        warnings.warn(f"adaptive self-check skipped: {bundle.skip_reason}")
+    return Instance(bundle.graph, FixedAssignment(bundle.assignment),
+                    bundle.certificate)
+
+
+def _random(p: dict, seed: int, verify_adaptive: bool = False) -> Instance:
+    graph, assignment = random_instance(p["n"], density=p["density"],
+                                        law=p["law"], alpha=p["alpha"],
+                                        seed=seed)
+    return Instance(graph, FixedAssignment(assignment), None)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family: its parameter names, typed by `parse`; whether it is
+    `adaptive` (its weights react to the explorer, so `generate` writes a
+    config stub naming it instead of an instance file); `build(params,
+    seed)`, where `verify_adaptive=True` adds the grid trap's replanning
+    self-check; and `bound(explorer, alpha, params)`."""
+
+    params: tuple[str, ...]
+    adaptive: bool
+    build: Callable[..., Instance]
+    bound: Callable[[str, Fraction, dict], tuple] = _ratio_bound
+
+    def parse(self, raw: Mapping) -> dict:
+        """Typed parameters from JSON or command-line values; ValueError
+        names a missing or malformed one."""
+        raw = {**_DEFAULTS, **raw}
+        parsed = {}
+        for name in self.params:
+            if name not in raw:
+                raise ValueError(f"missing parameter {name!r}")
+            try:
+                parsed[name] = _PARSERS[name](raw[name])
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"parameter {name!r}: {exc}") from exc
+        return parsed
+
+
+FAMILIES: dict[str, Family] = {
+    "recursive": Family(("k", "depth", "alpha"), True, _recursive,
+                        _recursive_bound),
+    "complete": Family(("k", "alpha"), True, _complete, _half_split_bound),
+    "bipartite": Family(("n", "alpha"), True, _bipartite, _half_split_bound),
+    "grid": Family(("m", "alpha"), False, _grid),
+    "random": Family(("n", "alpha", "density", "law"), False, _random),
+}

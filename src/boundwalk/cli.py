@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,8 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write an instance file or an "
                                           "adaptive adversary config")
-    gen.add_argument("family", choices=["recursive", "complete", "bipartite",
-                                        "grid", "random"])
+    gen.add_argument("family", choices=list(adv.FAMILIES))
     gen.add_argument("--k", type=int, help="branching / half size")
     gen.add_argument("--depth", type=int, help="recursion depth")
     gen.add_argument("--m", type=int, help="grid side length")
@@ -83,43 +83,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    def need(name):
-        value = getattr(args, name)
-        if value is None:
-            print(f"generate {args.family}: --{name} is required",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_INVALID)
-        return value
-
-    if args.family == "recursive":
-        spec = adv.RecursiveSpec(need("k"), need("depth"), args.alpha)
-        adv.build_recursive(spec)  # validates and self-checks
-        config = AdversaryConfig("recursive", {
-            "k": spec.k, "depth": spec.depth, "alpha": str(args.alpha)})
-        save_adversary_config(args.out, config)
-    elif args.family == "complete":
-        spec = adv.CompleteAdvSpec(need("k"), args.alpha)
-        adv.build_complete_adversary(spec)
-        config = AdversaryConfig("complete", {"k": spec.k,
-                                              "alpha": str(args.alpha)})
-        save_adversary_config(args.out, config)
-    elif args.family == "bipartite":
-        spec = adv.CompleteAdvSpec(need("n"), args.alpha)
-        adv.build_bipartite_adversary(spec)
-        config = AdversaryConfig("bipartite", {"n": spec.k,
-                                               "alpha": str(args.alpha)})
-        save_adversary_config(args.out, config)
-    elif args.family == "grid":
-        bundle = adv.build_grid_trap(adv.GridSpec(need("m"), args.alpha))
-        if not bundle.adaptive_verified:
-            print(f"warning: adaptive self-check skipped: "
-                  f"{bundle.skip_reason}", file=sys.stderr)
-        save_instance(args.out, bundle.graph, bundle.assignment)
+    family = adv.FAMILIES[args.family]
+    # an unset flag is None; parse reports a missing required one
+    params = family.parse({k: v for k, v in vars(args).items()
+                           if v is not None})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        graph, source, _ = family.build(params, args.seed,
+                                        verify_adaptive=True)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    if family.adaptive:
+        save_adversary_config(args.out, AdversaryConfig(args.family, params))
     else:
-        graph, assignment = adv.random_instance(
-            need("n"), density=args.density, law=args.law,
-            alpha=args.alpha, seed=args.seed)
-        save_instance(args.out, graph, assignment)
+        save_instance(args.out, graph, source.assignment)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -136,10 +113,7 @@ def _cmd_run(args) -> int:
         certificate = None
         instance_desc = {"file": args.instance, "n": graph.vertex_count}
     else:
-        bundle = loaded
-        graph = bundle.graph
-        source = bundle.source
-        certificate = getattr(bundle, "certificate", None)
+        graph, source, certificate = loaded
         instance_desc = {"file": args.instance, "n": graph.vertex_count,
                          **extra.to_dict()}
     problems = validate(graph)

@@ -16,9 +16,6 @@ from .graph import (EstimateGraph, Walk, WeightAssignment, walk_violations)
 from .solver import (CoverTask, DEFAULT_EXACT_CAP, SolverCapExceeded,
                      optimal_cover_walk)
 
-# per-step reveal-set and containment checks; cheap at desk scale
-CHECK_INVARIANTS = True
-
 
 class EngineError(Exception):
     pass
@@ -143,8 +140,7 @@ def start_episode(graph: EstimateGraph, source: WeightSource) -> KnowledgeView:
                          position=graph.start, revealed=revealed,
                          paid=Fraction(0), history=(), reveals=tuple(events),
                          _source=source)
-    if CHECK_INVARIANTS:
-        _check_view(view)
+    _check_view(view)
     return view
 
 
@@ -165,8 +161,7 @@ def move(view: KnowledgeView, to: int) -> KnowledgeView:
                         revealed=revealed, paid=view.paid + w,
                         history=view.history + (Move(view.position, to, eid, w),),
                         reveals=tuple(events), _source=view._source)
-    if CHECK_INVARIANTS:
-        _check_view(new)
+    _check_view(new)
     return new
 
 

@@ -13,30 +13,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import adversaries as adv
+from .adversaries import FAMILIES, Instance, parse_fraction
 from .graph import Edge, EstimateGraph, WeightAssignment
-
-
-def fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
-def parse_fraction(text: str | int | float) -> Fraction:
-    """Accept "p/q", integer, or exact decimal strings like "1.5"."""
-    if isinstance(text, (int, str)):
-        return Fraction(text)
-    raise ValueError(f"cannot parse exact rational from {text!r}")
 
 
 def instance_to_dict(graph: EstimateGraph,
                      assignment: WeightAssignment | None = None) -> dict:
     edges = []
     for eid, e in enumerate(graph.edges):
-        entry = {"a": e.a, "b": e.b,
-                 "lower": fraction_str(e.lower),
-                 "upper": fraction_str(e.upper)}
+        entry = {"a": e.a, "b": e.b, "lower": str(e.lower),
+                 "upper": str(e.upper)}
         if assignment is not None:
-            entry["actual"] = fraction_str(assignment.weight(eid))
+            entry["actual"] = str(assignment.weight(eid))
         edges.append(entry)
     return {"n": graph.vertex_count, "s": graph.start, "t": graph.end,
             "edges": edges}
@@ -80,34 +68,24 @@ class AdversaryConfig:
 
 
 def save_adversary_config(path: str | Path, config: AdversaryConfig) -> None:
-    Path(path).write_text(
-        json.dumps(config.to_dict(), indent=1, sort_keys=True) + "\n",
-        encoding="utf-8")
+    # default=str writes rational parameters as exact "p/q" strings
+    Path(path).write_text(json.dumps(config.to_dict(), indent=1,
+                                     sort_keys=True, default=str) + "\n",
+                          encoding="utf-8")
 
 
-def build_from_config(config: AdversaryConfig):
-    """Instantiate the adversary bundle a config stub refers to."""
-    family = config.family
-    params = config.params
-    if family == "recursive":
-        spec = adv.RecursiveSpec(int(params["k"]), int(params["depth"]),
-                                 parse_fraction(params["alpha"]))
-        return adv.build_recursive(spec)
-    if family == "complete":
-        spec = adv.CompleteAdvSpec(int(params["k"]),
-                                   parse_fraction(params["alpha"]))
-        return adv.build_complete_adversary(spec)
-    if family == "bipartite":
-        spec = adv.CompleteAdvSpec(int(params["n"]),
-                                   parse_fraction(params["alpha"]))
-        return adv.build_bipartite_adversary(spec)
-    raise ValueError(f"unknown adversary family {family!r}")
+def build_from_config(config: AdversaryConfig) -> Instance:
+    """Instantiate the adaptive adversary a config stub refers to."""
+    family = FAMILIES.get(config.family)
+    if family is None or not family.adaptive:
+        raise ValueError(f"unknown adversary family {config.family!r}")
+    return family.build(family.parse(config.params), 0)
 
 
 def load_run_input(path: str | Path):
     """Load either an instance file or an adversary config.
 
-    Returns ("instance", graph, assignment) or ("adversary", bundle, config).
+    Returns ("instance", graph, assignment) or ("adversary", Instance, config).
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if "edges" in data:

@@ -21,30 +21,18 @@ import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from . import adversaries as adv
-from .engine import FixedAssignment, run_episode
+from .adversaries import FAMILIES
+from .engine import run_episode
 from .explorers import make_explorer
 from .graph import alpha_of
-from .instance_io import parse_fraction
 from .solver import DEFAULT_EXACT_CAP
 
 CSV_COLUMNS = ("family", "k", "depth", "alpha", "m", "n", "seed", "explorer",
                "online_cost", "offline_cost", "offline_kind", "ratio",
                "ratio_decimal", "theoretical_bound", "bound_satisfied")
-
-FAMILIES = ("recursive", "complete", "bipartite", "grid", "random")
-
-_PARAM_KEYS = {
-    "recursive": ("k", "depth", "alpha"),
-    "complete": ("k", "alpha"),
-    "bipartite": ("n", "alpha"),
-    "grid": ("m", "alpha"),
-    "random": ("n", "alpha", "density", "law"),
-}
 
 
 @dataclass(frozen=True)
@@ -63,11 +51,11 @@ class SweepConfig:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         grid = {k: list(v) for k, v in data["grid"].items()}
-        unknown = set(grid) - set(_PARAM_KEYS[family])
+        unknown = set(grid) - set(FAMILIES[family].params)
         if unknown:
             raise ValueError(f"family {family!r} does not take parameters "
                              f"{sorted(unknown)}")
-        return SweepConfig(
+        config = SweepConfig(
             family=family,
             grid=grid,
             explorers=tuple(data.get("explorers", ["precompute", "adaptive",
@@ -77,6 +65,9 @@ class SweepConfig:
             jobs=int(data.get("jobs", 1)),
             solver_cap=int(data.get("solver_cap", DEFAULT_EXACT_CAP)),
         )
+        for params in _grid_points(config):
+            FAMILIES[family].parse(params)  # a bad value fails the config
+        return config
 
 
 def _grid_points(config: SweepConfig) -> list[dict]:
@@ -85,49 +76,29 @@ def _grid_points(config: SweepConfig) -> list[dict]:
     return [dict(zip(keys, combo)) for combo in itertools.product(*values)]
 
 
-def theoretical_bound(family: str, explorer: str,
-                      alpha: Fraction,
-                      params: dict) -> tuple[Fraction | None, str]:
-    """(bound, kind) where kind is "ratio_max" or "online_min"."""
-    if family == "recursive":
-        spec = adv.RecursiveSpec(int(params["k"]), int(params["depth"]),
-                                 alpha).validated()
-        return adv.recursive_online_lower_bound(spec), "online_min"
-    if explorer == "adaptive":
-        if family in ("complete", "bipartite"):
-            return (alpha + 1) / 2, "ratio_max"
-        return alpha, "ratio_max"
-    if explorer == "precompute":
-        return alpha, "ratio_max"
-    return None, "ratio_max"
-
-
 def _run_point(args: tuple) -> dict:
-    config_d, params, explorer_name, seed = args
-    config = SweepConfig.from_dict(config_d)
-    family = config.family
+    config, params, explorer_name, seed = args
+    family = FAMILIES[config.family]
     row = {c: "" for c in CSV_COLUMNS}
-    row["family"] = family
+    row["family"] = config.family
     row["explorer"] = explorer_name
     row["seed"] = str(seed)
     for key in ("k", "depth", "alpha", "m", "n"):
         if key in params:
             row[key] = str(params[key])
-    alpha = parse_fraction(params["alpha"]) if "alpha" in params else None
+    parsed = family.parse(params)
     try:
-        graph, source, certificate = _materialize(family, params, seed,
-                                                  config.solver_cap)
+        graph, source, certificate = family.build(parsed, seed)
         if "n" not in params:
             row["n"] = str(graph.vertex_count)
-        profile_alpha = alpha_of(graph).alpha
-        bound_alpha = alpha if alpha is not None else profile_alpha
         report = run_episode(graph, source,
                              make_explorer(explorer_name,
                                            cap=config.solver_cap),
                              oracle_cap=config.solver_cap,
                              certificate=certificate)
-        bound, kind = theoretical_bound(family, explorer_name, bound_alpha,
-                                        params)
+        # the bound of the instance as built: builders may clamp alpha
+        bound, kind = family.bound(explorer_name, alpha_of(graph).alpha,
+                                   parsed)
         row["online_cost"] = str(report.online_cost)
         row["offline_cost"] = str(report.offline_cost)
         row["offline_kind"] = report.offline_kind
@@ -145,45 +116,9 @@ def _run_point(args: tuple) -> dict:
     return row
 
 
-def _materialize(family: str, params: dict, seed: int, solver_cap: int):
-    """(graph, weight source, certificate-or-None) for one grid point."""
-    alpha = parse_fraction(params["alpha"]) if "alpha" in params else Fraction(2)
-    if family == "recursive":
-        bundle = adv.build_recursive(
-            adv.RecursiveSpec(int(params["k"]), int(params["depth"]), alpha))
-        return bundle.graph, bundle.source, bundle.certificate
-    if family == "complete":
-        bundle = adv.build_complete_adversary(
-            adv.CompleteAdvSpec(int(params["k"]), alpha))
-        return bundle.graph, bundle.source, None
-    if family == "bipartite":
-        bundle = adv.build_bipartite_adversary(
-            adv.CompleteAdvSpec(int(params["n"]), alpha))
-        return bundle.graph, bundle.source, None
-    if family == "grid":
-        bundle = adv.build_grid_trap(adv.GridSpec(int(params["m"]), alpha),
-                                     verify_adaptive=False)
-        return (bundle.graph, FixedAssignment(bundle.assignment),
-                bundle.certificate)
-    if family == "random":
-        graph, assignment = adv.random_instance(
-            int(params["n"]),
-            density=float(params.get("density", 0.5)),
-            law=params.get("law", "mixed"),
-            alpha=alpha, seed=seed)
-        return graph, FixedAssignment(assignment), None
-    raise ValueError(f"unknown family {family!r}")
-
-
 def run_sweep(config: SweepConfig) -> list[dict]:
     """One row per (grid point x explorer x seed), sorted for determinism."""
-    config_d = {
-        "family": config.family, "grid": config.grid,
-        "explorers": list(config.explorers), "seeds": list(config.seeds),
-        "out": config.out, "jobs": config.jobs,
-        "solver_cap": config.solver_cap,
-    }
-    work = [(config_d, params, explorer, seed)
+    work = [(config, params, explorer, seed)
             for params in _grid_points(config)
             for explorer in config.explorers
             for seed in config.seeds]

@@ -4,12 +4,28 @@ from fractions import Fraction as F
 import pytest
 
 from boundwalk import Edge, EstimateGraph, random_instance
+from boundwalk.adversaries import FAMILIES
 from boundwalk.cli import main
 from boundwalk.graph import WeightAssignment
 from boundwalk.instance_io import (AdversaryConfig, build_from_config,
                                    instance_from_dict, instance_to_dict,
                                    load_run_input, parse_fraction,
                                    save_instance)
+
+# generate flags, the same parameters as a sweep grid point, and the seed;
+# complete at alpha=3 is clamped to 2 by its builder
+GENERATE_CASES = {
+    "recursive": (["--k", "2", "--depth", "1", "--alpha", "3/2"],
+                  {"k": 2, "depth": 1, "alpha": "3/2"}, 0),
+    "complete": (["--k", "3", "--alpha", "3"], {"k": 3, "alpha": "3"}, 0),
+    "bipartite": (["--n", "3", "--alpha", "1.75"],
+                  {"n": 3, "alpha": "7/4"}, 0),
+    "grid": (["--m", "4", "--alpha", "3/2"], {"m": 4, "alpha": "3/2"}, 0),
+    "random": (["--n", "7", "--seed", "9", "--law", "uniform",
+                "--density", "0.3", "--alpha", "5/2"],
+               {"n": 7, "alpha": "5/2", "law": "uniform", "density": 0.3},
+               9),
+}
 
 
 class TestInstanceFormat:
@@ -43,12 +59,43 @@ class TestInstanceFormat:
         with pytest.raises(ValueError):
             parse_fraction("x")
 
-    def test_adversary_config_round_trip(self):
-        config = AdversaryConfig("complete", {"k": 4, "alpha": "2"})
-        bundle = build_from_config(config)
+    @pytest.mark.parametrize("family", sorted(GENERATE_CASES))
+    def test_adversary_config_round_trip(self, family, tmp_path, capsys):
+        """`generate` then `load_run_input` gives the instance a sweep row
+        builds from the same parameters."""
+        flags, params, seed = GENERATE_CASES[family]
+        path = tmp_path / f"{family}.json"
+        assert main(["generate", family, *flags, "--out", str(path)]) == 0
+        kind, loaded, extra = load_run_input(path)
+        entry = FAMILIES[family]
+        graph, source, _ = entry.build(entry.parse(params), seed)
+        if entry.adaptive:
+            assert kind == "adversary"
+            assert extra.family == family
+            loaded_graph, loaded_source, _ = loaded
+            # adaptive weights compared along one fixed visit order
+            order = tuple(range(graph.vertex_count))
+            actuals = [loaded_source.complete(eid, order)
+                       for eid in range(len(graph.edges))]
+            expected = [source.complete(eid, order)
+                        for eid in range(len(graph.edges))]
+        else:
+            assert kind == "instance"
+            loaded_graph = loaded
+            actuals = extra.weights
+            expected = source.assignment.weights
+        assert loaded_graph.edges == graph.edges
+        assert (loaded_graph.start, loaded_graph.end) == (graph.start,
+                                                          graph.end)
+        assert actuals == expected
+
+    def test_config_stub_names_an_adaptive_family(self):
+        bundle = build_from_config(AdversaryConfig("complete",
+                                                   {"k": 4, "alpha": "2"}))
         assert bundle.graph.vertex_count == 8
-        with pytest.raises(ValueError):
-            build_from_config(AdversaryConfig("mystery", {}))
+        for family in ("mystery", "grid"):
+            with pytest.raises(ValueError):
+                build_from_config(AdversaryConfig(family, {"m": 4}))
 
 
 class TestCli:

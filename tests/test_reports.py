@@ -3,10 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from boundwalk import alpha_of, random_instance
+from boundwalk.adversaries import FAMILIES
 from boundwalk.cli import main
 from boundwalk.reports import (CSV_COLUMNS, SweepConfig, rows_from_csv,
                                rows_to_csv, rows_to_json, run_sweep,
-                               theoretical_bound, write_reports)
+                               write_reports)
 
 
 def sweep_config(**overrides):
@@ -19,6 +21,10 @@ def sweep_config(**overrides):
     }
     data.update(overrides)
     return SweepConfig.from_dict(data)
+
+
+def theoretical_bound(family, explorer, alpha, params):
+    return FAMILIES[family].bound(explorer, alpha, params)
 
 
 class TestBounds:
@@ -93,6 +99,26 @@ class TestSweep:
                                      explorers=["adaptive", "nn"], jobs=2))
         assert rows_to_csv(seq) == rows_to_csv(par)
 
+    def test_bound_uses_alpha_of_clamped_complete_graph(self):
+        # CompleteAdvSpec clamps alpha=3 to 2: the tight bounds are those
+        # of alpha 2, while the row keeps the requested alpha
+        rows = run_sweep(sweep_config(grid={"k": [3], "alpha": ["3"]},
+                                      explorers=["adaptive", "precompute"]))
+        assert {r["explorer"]: r["theoretical_bound"] for r in rows} == {
+            "adaptive": "3/2", "precompute": "2"}
+        assert all(r["alpha"] == "3" for r in rows)
+        assert all(r["bound_satisfied"] == "true" for r in rows)
+
+    def test_bound_uses_alpha_of_mixed_random_instance(self):
+        graph, _ = random_instance(6, law="mixed", alpha=F(2), seed=1)
+        assert alpha_of(graph).alpha == F(7, 4)
+        rows = run_sweep(sweep_config(
+            family="random", grid={"n": [6], "alpha": ["2"],
+                                   "law": ["mixed"]},
+            explorers=["precompute", "adaptive"], seeds=[1]))
+        assert [r["theoretical_bound"] for r in rows] == ["7/4", "7/4"]
+        assert all(r["bound_satisfied"] == "true" for r in rows)
+
     def test_exact_rows_have_ratio_at_least_one(self):
         rows = run_sweep(sweep_config(
             family="random", grid={"n": [5, 7], "alpha": ["2"]},
@@ -106,6 +132,12 @@ class TestSweep:
             SweepConfig.from_dict({"family": "torus", "grid": {}})
         with pytest.raises(ValueError):
             sweep_config(grid={"m": [4], "alpha": ["2"]})
+        # a missing or malformed value fails the load, naming the parameter
+        for grid in ({"alpha": ["2"]}, {"k": [3, "three"], "alpha": ["2"]},
+                     {"k": [[3]], "alpha": ["2"]},
+                     {"k": [3], "alpha": ["1/0"]}):
+            with pytest.raises(ValueError, match="'(k|alpha)'"):
+                sweep_config(grid=grid)
 
     def test_cli_sweep_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
