@@ -1,6 +1,8 @@
 """Core graph model: interval-announced edge weights, validation, shortest paths.
 
-Weights are exact rationals (`fractions.Fraction`) end to end; every
+Weights are exact rationals (`fractions.Fraction`) at the API edges: input
+weights, walk step costs and returned costs.  Inside the metric closure and
+the solver's DP they are integers over one common denominator.  Every
 comparison in the harness is exact, never tolerance-based.  Tie-breaking is
 deterministic everywhere: smaller vertex id wins, then smaller edge id.
 """
@@ -174,11 +176,9 @@ def check_weights(graph: EstimateGraph, weights: Mapping[int, Fraction]) -> None
 def scale_to_integers(graph: EstimateGraph,
                       weights: Mapping[int, Fraction]) -> tuple[int, list[int]]:
     """Common denominator L and the integer weights w*L, indexed by edge id."""
-    denom = 1
-    for eid in range(len(graph.edges)):
-        denom = lcm(denom, weights[eid].denominator)
-    scaled = [int(weights[eid] * denom) for eid in range(len(graph.edges))]
-    return denom, scaled
+    ws = [weights[eid] for eid in range(len(graph.edges))]
+    denom = lcm(*(w.denominator for w in ws))
+    return denom, [w.numerator * (denom // w.denominator) for w in ws]
 
 
 def _dijkstra_int(graph: EstimateGraph, scaled: Sequence[int],
@@ -239,40 +239,47 @@ def _path_from_preds(pred: Sequence[int | None], source: int,
 class MetricClosure:
     """All-pairs shortest distances over a required vertex set.
 
+    Distances are integers over one common denominator: `matrix[i][j]` is
+    `denom` times the distance from `vertices[i]` to `vertices[j]`.
     `expand(u, v)` recovers the underlying shortest path in the original
     graph, so closure-level solutions can be turned back into real walks.
     """
 
-    def __init__(self, vertices: tuple[int, ...],
-                 dist: dict[tuple[int, int], Fraction],
-                 paths: dict[tuple[int, int], tuple[int, ...]]):
+    def __init__(self, vertices: tuple[int, ...], denom: int,
+                 matrix: list[list[int]],
+                 preds: list[list[int | None]]):
         self.vertices = vertices
-        self._dist = dist
-        self._paths = paths
+        self.denom = denom
+        self.matrix = matrix
+        self._preds = preds
+        self._index = {v: i for i, v in enumerate(vertices)}
 
     def distance(self, u: int, v: int) -> Fraction:
-        return self._dist[(u, v)]
+        return Fraction(self.matrix[self._index[u]][self._index[v]],
+                        self.denom)
 
     def expand(self, u: int, v: int) -> tuple[int, ...]:
-        return self._paths[(u, v)]
+        return tuple(_path_from_preds(self._preds[self._index[u]], u, v))
 
 
 def metric_closure(graph: EstimateGraph, weights: Mapping[int, Fraction],
                    required: Iterable[int]) -> MetricClosure:
-    """Complete distance matrix over `required` plus path-expansion table."""
+    """Integer distance matrix over `required` plus one Dijkstra
+    predecessor list per source for path expansion."""
     check_weights(graph, weights)
     verts = tuple(sorted(set(required)))
     denom, scaled = scale_to_integers(graph, weights)
-    dist: dict[tuple[int, int], Fraction] = {}
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    matrix: list[list[int]] = []
+    preds: list[list[int | None]] = []
     for u in verts:
         d, pred = _dijkstra_int(graph, scaled, u)
-        for v in verts:
-            if d[v] is None:
-                raise ValueError(f"vertex {v} unreachable from {u}")
-            dist[(u, v)] = Fraction(d[v], denom)
-            paths[(u, v)] = tuple(_path_from_preds(pred, u, v))
-    return MetricClosure(verts, dist, paths)
+        row = [d[v] for v in verts]
+        if None in row:
+            v = verts[row.index(None)]
+            raise ValueError(f"vertex {v} unreachable from {u}")
+        matrix.append(row)
+        preds.append(pred)
+    return MetricClosure(verts, denom, matrix, preds)
 
 
 def walk_violations(graph: EstimateGraph, walk: Walk,

@@ -30,21 +30,40 @@ def instance_to_dict(graph: EstimateGraph,
             "edges": edges}
 
 
+def _field(obj: dict, key: str, parse, where: str = ""):
+    """parse(obj[key]); ValueError names a missing or malformed field and,
+    via `where`, the edge it belongs to."""
+    try:
+        return parse(obj[key])
+    except KeyError:
+        raise ValueError(f"{where}missing field {key!r}") from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{where}bad field {key!r}: {exc}") from exc
+
+
 def instance_from_dict(data: dict) -> tuple[EstimateGraph,
                                             WeightAssignment | None]:
+    """Graph and optional actual weights; ValueError names a missing or
+    malformed field, or an actual weight outside its edge's interval."""
     edges = []
     actuals: dict[int, Fraction] = {}
     have_actuals = True
-    for eid, entry in enumerate(data["edges"]):
-        edges.append(Edge(int(entry["a"]), int(entry["b"]),
-                          parse_fraction(entry["lower"]),
-                          parse_fraction(entry["upper"])))
+    for eid, entry in enumerate(_field(data, "edges", list)):
+        where = f"edge {eid}: "
+        a, b = (_field(entry, key, int, where) for key in ("a", "b"))
+        lower, upper = (_field(entry, key, parse_fraction, where)
+                        for key in ("lower", "upper"))
+        edges.append(Edge(a, b, lower, upper))
         if "actual" in entry:
-            actuals[eid] = parse_fraction(entry["actual"])
+            actual = _field(entry, "actual", parse_fraction, where)
+            if not lower <= actual <= upper:
+                raise ValueError(f"{where}actual {actual} outside its "
+                                 f"interval [{lower}, {upper}]")
+            actuals[eid] = actual
         else:
             have_actuals = False
-    graph = EstimateGraph(int(data["n"]), edges, int(data["s"]),
-                          int(data["t"]))
+    n, start, end = (_field(data, key, int) for key in ("n", "s", "t"))
+    graph = EstimateGraph(n, edges, start, end)
     assignment = WeightAssignment(actuals) if have_actuals and edges else None
     return graph, assignment
 
@@ -88,6 +107,8 @@ def load_run_input(path: str | Path):
     Returns ("instance", graph, assignment) or ("adversary", Instance, config).
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     if "edges" in data:
         graph, assignment = instance_from_dict(data)
         return "instance", graph, assignment

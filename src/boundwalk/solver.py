@@ -10,8 +10,9 @@ smallest vertex id among cost-optimal choices.  The returned walk is
 therefore the lexicographically smallest optimal visit order, expanded back
 to original edges.
 
-Weights are scaled to a common integer denominator before the DP; results
-are converted back to exact rationals.  A numpy kernel handles large
+The metric closure holds its distances as integers over one common
+denominator; the DP works on that matrix and only the returned cost is
+converted back to an exact rational.  A numpy kernel handles large
 subproblems, a plain-Python kernel small ones and arbitrarily large
 integers; both implement the same recurrence.
 """
@@ -20,13 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Mapping, TYPE_CHECKING
+from math import inf
+from typing import Callable, Mapping, TYPE_CHECKING
 
 import numpy as np
 
-from .graph import (EstimateGraph, MetricClosure, Walk, check_weights,
-                    metric_closure, walk_of_vertices)
+from .graph import EstimateGraph, Walk, metric_closure, walk_of_vertices
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import KnowledgeView
@@ -74,7 +74,8 @@ def _suffix_table_py(D: list[list[int]], dest_i: int,
         for i in bits:
             prev = g[mask ^ (1 << i)]
             di = interior[i]
-            best = _INF
+            # Python ints are unbounded and may exceed _INF
+            best = inf
             for j in bits:
                 if j == i:
                     continue
@@ -114,21 +115,13 @@ def _suffix_table_np(D: list[list[int]], dest_i: int,
     return g
 
 
-def _tsp_path_order(D: list[list[int]], origin_i: int,
-                    dest_i: int) -> tuple[int, list[int]]:
+def _dp_order(D: list[list[int]], origin_i: int, dest_i: int,
+              interior: list[int]) -> tuple[int, list[int]]:
     """Minimum cost and lexicographically smallest optimal visit order
-    (as closure indices) for a fixed-endpoint path covering all indices.
-
-    Supports origin_i == dest_i (closed tour through all other vertices).
-    """
+    (as closure indices) for a fixed-endpoint path through every index of
+    a non-empty `interior`; origin_i == dest_i makes it a closed tour."""
     r = len(D)
-    interior = [i for i in range(r) if i != origin_i and i != dest_i]
     m = len(interior)
-    if m == 0:
-        if origin_i == dest_i:
-            return 0, [origin_i]
-        return D[origin_i][dest_i], [origin_i, dest_i]
-
     big = max(max(row) for row in D)
     use_numpy = m >= _NUMPY_MIN_INTERIOR and big * (r + 1) < _INT64_LIMIT
     if use_numpy:
@@ -151,7 +144,8 @@ def _tsp_path_order(D: list[list[int]], origin_i: int,
             if best_cost is None or c < best_cost:
                 best_cost = c
                 best_j = j
-        assert best_cost is not None and best_cost < _INF
+        # an unset numpy cell holds _INF; Python-kernel ints may exceed it
+        assert best_cost is not None and (best_cost < _INF or not use_numpy)
         total += D[pos][interior[best_j]]
         pos = interior[best_j]
         order.append(pos)
@@ -161,89 +155,64 @@ def _tsp_path_order(D: list[list[int]], origin_i: int,
     return total, order
 
 
-def _closure_matrix(closure: MetricClosure) -> tuple[int, list[list[int]]]:
-    verts = closure.vertices
-    denom = 1
-    for u in verts:
-        for v in verts:
-            denom = lcm(denom, closure.distance(u, v).denominator)
-    D = [[int(closure.distance(u, v) * denom) for v in verts] for u in verts]
-    return denom, D
+def _brute_force_order(D: list[list[int]], origin_i: int, dest_i: int,
+                       interior: list[int]) -> tuple[int, list[int]]:
+    """Same contract as `_dp_order`, by exhaustive enumeration.
+
+    Permutations are generated in lexicographic order and `min` keeps the
+    first of equal costs, so ties resolve to the same lexicographically
+    smallest order as the DP.
+    """
+    def cost(perm: tuple[int, ...]) -> int:
+        path = (origin_i, *perm, dest_i)
+        return sum(D[a][b] for a, b in zip(path, path[1:]))
+
+    best = min(itertools.permutations(interior), key=cost)
+    return cost(best), [origin_i, *best, dest_i]
 
 
-def _expand_order(graph: EstimateGraph, closure: MetricClosure,
-                  order: list[int],
-                  weights: Mapping[int, Fraction]) -> Walk:
-    vertices: list[int] = [order[0]]
-    for u, v in zip(order, order[1:]):
-        vertices.extend(closure.expand(u, v)[1:])
-    return walk_of_vertices(graph, vertices, weights)
+def _solve(graph: EstimateGraph, task: CoverTask, cap: int, oracle: str,
+           order_search: Callable[..., tuple[int, list[int]]]
+           ) -> tuple[Walk, Fraction]:
+    """Shared prelude and epilogue of the two oracles, which differ only in
+    `order_search` over the closure's integer matrix."""
+    required = task.required_vertices()
+    if len(required) > cap:
+        raise SolverCapExceeded(
+            f"instance too large for {oracle}: {len(required)} required "
+            f"vertices exceed cap {cap}")
+    closure = metric_closure(graph, task.weights, required)
+    D = closure.matrix
+    origin_i = required.index(task.origin)
+    dest_i = required.index(task.destination)
+    interior = [i for i in range(len(required))
+                if i != origin_i and i != dest_i]
+    if interior:
+        total, order_i = order_search(D, origin_i, dest_i, interior)
+    elif origin_i == dest_i:
+        total, order_i = 0, [origin_i]
+    else:
+        total, order_i = D[origin_i][dest_i], [origin_i, dest_i]
+    vertices = [task.origin]
+    for a, b in zip(order_i, order_i[1:]):
+        vertices.extend(closure.expand(required[a], required[b])[1:])
+    walk = walk_of_vertices(graph, vertices, task.weights)
+    cost = Fraction(total, closure.denom)
+    assert walk.cost == cost
+    return walk, cost
 
 
 def optimal_cover_walk(graph: EstimateGraph, task: CoverTask, *,
                        cap: int = DEFAULT_EXACT_CAP) -> tuple[Walk, Fraction]:
     """Exact minimum-cost covering walk via subset DP on the metric closure."""
-    required = task.required_vertices()
-    if len(required) > cap:
-        raise SolverCapExceeded(
-            f"instance too large for exact oracle: {len(required)} required "
-            f"vertices exceed cap {cap}")
-    check_weights(graph, task.weights)
-    closure = metric_closure(graph, task.weights, required)
-    denom, D = _closure_matrix(closure)
-    origin_i = required.index(task.origin)
-    dest_i = required.index(task.destination)
-    total, order_i = _tsp_path_order(D, origin_i, dest_i)
-    order = [required[i] for i in order_i]
-    walk = _expand_order(graph, closure, order, task.weights)
-    cost = Fraction(total, denom)
-    assert walk.cost == cost
-    return walk, cost
+    return _solve(graph, task, cap, "exact oracle", _dp_order)
 
 
 def brute_force_cover(graph: EstimateGraph, task: CoverTask, *,
                       cap: int = BRUTE_FORCE_CAP) -> tuple[Walk, Fraction]:
-    """Independent oracle: exhaustive enumeration of closure visit orders.
-
-    Permutations are generated in lexicographic order and only strictly
-    better costs replace the incumbent, so ties resolve to the same
-    lexicographically smallest order as the DP.
-    """
-    required = task.required_vertices()
-    if len(required) > cap:
-        raise SolverCapExceeded(
-            f"instance too large for brute force: {len(required)} required "
-            f"vertices exceed cap {cap}")
-    check_weights(graph, task.weights)
-    closure = metric_closure(graph, task.weights, required)
-    denom, D = _closure_matrix(closure)
-    origin_i = required.index(task.origin)
-    dest_i = required.index(task.destination)
-    interior = [i for i in range(len(required))
-                if i != origin_i and i != dest_i]
-    if not interior:
-        if origin_i == dest_i:
-            order_i = [origin_i]
-            best = 0
-        else:
-            order_i = [origin_i, dest_i]
-            best = D[origin_i][dest_i]
-    else:
-        best = None
-        best_perm = None
-        for perm in itertools.permutations(interior):
-            cost = D[origin_i][perm[0]]
-            for a, b in zip(perm, perm[1:]):
-                cost += D[a][b]
-            cost += D[perm[-1]][dest_i]
-            if best is None or cost < best:
-                best = cost
-                best_perm = perm
-        assert best_perm is not None
-        order_i = [origin_i, *best_perm, dest_i]
-    order = [required[i] for i in order_i]
-    walk = _expand_order(graph, closure, order, task.weights)
-    return walk, Fraction(best, denom)
+    """Independent oracle: exhaustive enumeration of closure visit orders,
+    sharing only the closure and the walk expansion with the DP."""
+    return _solve(graph, task, cap, "brute force", _brute_force_order)
 
 
 def pessimistic_weights(graph: EstimateGraph,

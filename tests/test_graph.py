@@ -2,9 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from boundwalk import (AlphaProfile, Edge, EstimateGraph, alpha_of,
-                       metric_closure, shortest_paths, validate,
-                       walk_of_vertices, walk_violations)
+from boundwalk import (AlphaProfile, CoverTask, Edge, EstimateGraph, alpha_of,
+                       brute_force_cover, metric_closure, optimal_cover_walk,
+                       shortest_paths, validate, walk_of_vertices,
+                       walk_violations)
 
 
 def path_graph(weights, intervals=None):
@@ -144,6 +145,29 @@ class TestMetricClosure:
                 total = sum((w[g.edge_between(a, b)]
                              for a, b in zip(path, path[1:])), F(0))
                 assert total == mc.distance(u, v)
+
+    def test_matrix_scaled_by_weight_denominator(self):
+        # the pendant edge 2-4 of weight 1/7 lies on no shortest path
+        # between required vertices: every closure distance is an integer,
+        # yet the matrix is scaled by the weights' common denominator 7
+        edges = [Edge(0, 1, F(1), F(2)), Edge(1, 2, F(2), F(2)),
+                 Edge(2, 3, F(1), F(1)), Edge(0, 3, F(4), F(4)),
+                 Edge(0, 2, F(2), F(3)), Edge(2, 4, F(1, 7), F(1))]
+        g = EstimateGraph(5, edges, 0, 3)
+        w = {eid: e.lower for eid, e in enumerate(edges)}
+        required = (0, 1, 2, 3)
+        mc = metric_closure(g, w, required)
+        assert mc.vertices == required
+        assert mc.denom == 7
+        for i, u in enumerate(required):
+            for j, v in enumerate(required):
+                assert mc.distance(u, v).denominator == 1
+                assert mc.matrix[i][j] == mc.distance(u, v) * mc.denom
+        task = CoverTask(weights=w, origin=0, destination=3,
+                         must_visit=frozenset({1, 2}))
+        walk, cost = optimal_cover_walk(g, task)
+        bwalk, bcost = brute_force_cover(g, task)
+        assert (walk.vertices, cost) == (bwalk.vertices, bcost)
 
 
 class TestWalk:

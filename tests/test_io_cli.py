@@ -135,10 +135,35 @@ class TestCli:
             {"a": 0, "b": 1, "lower": "1", "upper": "1", "actual": "1"},
         ]}), encoding="utf-8")
         assert main(["validate", str(bad)]) == 1
+        bad.write_text("5", encoding="utf-8")  # not a JSON object
+        assert main(["validate", str(bad)]) == 1
         assert main(["generate", "recursive", "--k", "1", "--depth", "0",
                      "--alpha", "2", "--out", str(tmp_path / "x.json")]) == 1
         assert main(["run", str(tmp_path / "missing.json"),
                      "--explorer", "nn"]) == 1
+
+    @pytest.mark.parametrize("edges, message", [
+        ([{"a": 0, "b": 1, "lower": "1", "upper": "1/0", "actual": "1"}],
+         "edge 0: bad field 'upper'"),
+        (5, "bad field 'edges'"),
+        ([{"a": 0, "b": 1, "lower": "1", "upper": "2", "actual": "1"},
+          {"a": 1, "b": 2, "lower": "1", "upper": "2", "actual": "5"}],
+         "edge 1: actual 5 outside its interval [1, 2]"),
+        ([{"a": 0, "b": 1, "lower": "1", "upper": "2", "actual": "0"},
+          {"a": 1, "b": 2, "lower": "1", "upper": "2", "actual": "1"}],
+         "edge 0: actual 0 outside its interval [1, 2]"),
+    ], ids=["upper-1/0", "edges-not-a-list", "actual-above-upper",
+            "actual-zero"])
+    def test_malformed_instance_fields_exit_1(self, edges, message,
+                                              tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 3, "s": 0, "t": 2, "edges": edges}),
+                       encoding="utf-8")
+        for argv in (["validate", str(bad)], ["oracle", str(bad)],
+                     ["run", str(bad), "--explorer", "adaptive"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
 
     def test_exit_code_solver_cap(self, tmp_path, capsys):
         inst = tmp_path / "big.json"

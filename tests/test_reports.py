@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -154,3 +155,36 @@ class TestSweep:
         assert F(adaptive["online_cost"]) == 15 * F(3, 2)
         json_rows = json.loads((tmp_path / "grid_rep.json").read_text())
         assert json_rows == rows
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestGoldenBytes:
+    """Report bytes pinned across commits: a change to any of these hashes
+    is a change to the reports and must be recorded as one."""
+
+    def test_mixed_sweep_report_bytes(self):
+        rows = []
+        for family, grid in (("complete", {"k": [3], "alpha": ["3/2"]}),
+                             ("random", {"n": [8], "alpha": ["5/2"],
+                                         "law": ["uniform"]})):
+            rows += run_sweep(sweep_config(
+                family=family, grid=grid,
+                explorers=["precompute", "adaptive", "nn"], seeds=[0, 1]))
+        assert len(rows) == 12
+        assert sha256(rows_to_csv(rows)) == (
+            "4291eab7c41bf41999b232c02e334a9f659dff1375052cf4c311183fa2e5bb29")
+        assert sha256(rows_to_json(rows)) == (
+            "e3eb76bbab5894b26875be13c6f25dd0ee579efea98c69cd5bda817141d8d778")
+
+    def test_adaptive_run_report_bytes(self, tmp_path, monkeypatch, capsys):
+        # a relative path keeps the report's "file" field fixed
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "complete", "--k", "4", "--alpha", "199/100",
+                     "--out", "k8.json"]) == 0
+        capsys.readouterr()
+        assert main(["run", "k8.json", "--explorer", "adaptive"]) == 0
+        assert sha256(capsys.readouterr().out) == (
+            "1529dd64c8b568e0926d14e724b3777ffebc1dc6787ef91d256f27e5064bdd1d")

@@ -3,12 +3,13 @@ from fractions import Fraction as F
 import pytest
 
 from boundwalk import (CoverTask, Edge, EstimateGraph, SolverCapExceeded,
-                       brute_force_cover, complete_graph, optimal_cover_walk,
-                       pessimistic_weights, random_instance,
-                       walk_violations, worst_case_cover_walk)
+                       brute_force_cover, complete_graph, metric_closure,
+                       optimal_cover_walk, pessimistic_weights,
+                       random_instance, solver, walk_violations,
+                       worst_case_cover_walk)
 from boundwalk.engine import start_episode, move, FixedAssignment
 from boundwalk.graph import WeightAssignment
-from boundwalk.solver import _suffix_table_np, _suffix_table_py, _tsp_path_order
+from boundwalk.solver import _suffix_table_np, _suffix_table_py
 
 
 def cover_all(graph, weights):
@@ -123,6 +124,26 @@ def test_numpy_and_python_kernels_agree():
         assert all(gp[mask][j] == int(gn[mask][j])
                    for mask in range(1 << len(interior))
                    for j in range(len(interior)))
+
+
+def test_large_denominators_take_python_kernel(monkeypatch):
+    # coprime denominators near 10**5 push the scaled closure entries past
+    # the int64 guard, so an interior of 8 (numpy-sized) must run in Python
+    primes = (99991, 99989, 99971, 99961, 99929)
+    g = complete_graph(10, F(2))
+    w = {eid: 1 + F(eid, primes[eid % 5]) for eid in range(len(g.edges))}
+    task = cover_all(g, w)
+    D = metric_closure(g, w, task.required_vertices()).matrix
+    assert max(map(max, D)) * (len(D) + 1) >= solver._INT64_LIMIT
+
+    def no_numpy(*args):
+        raise AssertionError("numpy kernel used beyond the int64 guard")
+
+    monkeypatch.setattr(solver, "_suffix_table_np", no_numpy)
+    walk, cost = optimal_cover_walk(g, task)
+    bwalk, bcost = brute_force_cover(g, task)
+    assert (walk.vertices, cost) == (bwalk.vertices, bcost)
+    assert walk_violations(g, walk, w) == []
 
 
 def test_lexicographic_tie_breaking():
