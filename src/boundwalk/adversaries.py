@@ -582,8 +582,17 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
     raise ValueError(f"cannot parse exact rational from {text!r}")
 
 
-_PARSERS = {"k": int, "depth": int, "m": int, "n": int,
-            "alpha": parse_fraction, "density": float, "law": str}
+def parse_int(value: int | str) -> int:
+    """Accept an integer or a decimal integer string; floats and booleans
+    are refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+_PARSERS = {"k": parse_int, "depth": parse_int, "m": parse_int,
+            "n": parse_int, "alpha": parse_fraction, "density": float,
+            "law": str}
 _DEFAULTS = {"alpha": Fraction(2), "density": 0.5, "law": "mixed"}
 
 

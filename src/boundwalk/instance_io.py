@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .adversaries import FAMILIES, Instance, parse_fraction
+from .adversaries import FAMILIES, Instance, parse_fraction, parse_int
 from .graph import Edge, EstimateGraph, WeightAssignment
 
 
@@ -50,7 +50,7 @@ def instance_from_dict(data: dict) -> tuple[EstimateGraph,
     have_actuals = True
     for eid, entry in enumerate(_field(data, "edges", list)):
         where = f"edge {eid}: "
-        a, b = (_field(entry, key, int, where) for key in ("a", "b"))
+        a, b = (_field(entry, key, parse_int, where) for key in ("a", "b"))
         lower, upper = (_field(entry, key, parse_fraction, where)
                         for key in ("lower", "upper"))
         edges.append(Edge(a, b, lower, upper))
@@ -62,7 +62,7 @@ def instance_from_dict(data: dict) -> tuple[EstimateGraph,
             actuals[eid] = actual
         else:
             have_actuals = False
-    n, start, end = (_field(data, key, int) for key in ("n", "s", "t"))
+    n, start, end = (_field(data, key, parse_int) for key in ("n", "s", "t"))
     graph = EstimateGraph(n, edges, start, end)
     assignment = WeightAssignment(actuals) if have_actuals and edges else None
     return graph, assignment

@@ -8,7 +8,9 @@ recursive family instead carries the online cost lower bound
 (online_cost >= bound), which the construction forces on every algorithm.
 When the offline cost is a certificate rather than an exact optimum, the
 reported ratio is a lower bound on the true ratio, so a satisfied
-ratio-type bound means "no violation witnessed".
+ratio-type bound means "no violation witnessed".  A row whose episode
+raises keeps its parameters and records `error:<Type>: <message>` as its
+offline kind.
 
 CSV and JSON emissions carry identical string-valued rows; rows are sorted
 before emission so identical configs produce identical bytes.
@@ -112,7 +114,7 @@ def _run_point(args: tuple) -> dict:
                 ok = report.ratio <= bound
             row["bound_satisfied"] = "true" if ok else "false"
     except Exception as exc:  # noqa: BLE001 - partial failures become rows
-        row["offline_kind"] = f"error:{type(exc).__name__}"
+        row["offline_kind"] = f"error:{type(exc).__name__}: {exc}"
     return row
 
 

@@ -12,9 +12,16 @@ to original edges.
 
 The metric closure holds its distances as integers over one common
 denominator; the DP works on that matrix and only the returned cost is
-converted back to an exact rational.  A numpy kernel handles large
-subproblems, a plain-Python kernel small ones and arbitrarily large
-integers; both implement the same recurrence.
+converted back to an exact rational.  A numpy kernel handles interiors of
+8 or more vertices, a plain-Python kernel smaller ones and arbitrarily
+large integers; both implement the same recurrence and hand the
+reconstruction the same `column(mask) -> per-vertex costs` accessor.
+
+The numpy table is layered by popcount: layer p is an (m, C(m, p)) array
+whose columns are the p-element masks in increasing order, so each layer
+is computed from the one below it alone.  Its dtype follows the closure:
+int32 when max entry * (r + 1) < 2**30, else int64; beyond 2**48 the
+Python kernel takes over.  Unset cells hold half the dtype's maximum.
 """
 from __future__ import annotations
 
@@ -35,8 +42,10 @@ DEFAULT_EXACT_CAP = 20
 BRUTE_FORCE_CAP = 10
 
 # numpy pays off once the mask space is non-trivial
-_NUMPY_MIN_INTERIOR = 7
-# int64 DP must stay clear of overflow: INF + max entry < 2**63
+_NUMPY_MIN_INTERIOR = 8
+# max entry * (r + 1) below these bounds every table value, and an unset
+# cell (half the dtype's max) plus any entry stays clear of overflow
+_INT32_LIMIT = 1 << 30
 _INT64_LIMIT = 1 << 48
 _INF = 1 << 62
 
@@ -60,7 +69,7 @@ class CoverTask:
 
 
 def _suffix_table_py(D: list[list[int]], dest_i: int,
-                     interior: list[int]) -> list[list[int]]:
+                     interior: list[int]) -> Callable[[int], list[int]]:
     m = len(interior)
     size = 1 << m
     g = [[_INF] * m for _ in range(size)]
@@ -83,36 +92,52 @@ def _suffix_table_py(D: list[list[int]], dest_i: int,
                 if c < best:
                     best = c
             row[i] = best
-    return g
+    return g.__getitem__
 
 
-def _suffix_table_np(D: list[list[int]], dest_i: int,
-                     interior: list[int]) -> np.ndarray:
-    m = len(interior)
-    size = 1 << m
-    DU = np.array([[D[a][b] for b in interior] for a in interior],
-                  dtype=np.int64)
-    g = np.full((size, m), _INF, dtype=np.int64)
-    idx = np.arange(m)
-    g[1 << idx, idx] = np.array([D[dest_i][v] for v in interior],
-                                dtype=np.int64)
-    masks = np.arange(size, dtype=np.int64)
-    pop = np.zeros(size, dtype=np.int16)
+def _popcount_layers(m: int) -> list[np.ndarray]:
+    """The masks over m bits grouped by popcount, each group increasing."""
+    layers = [np.zeros(1, dtype=np.int64)]
+    empty = np.zeros(0, dtype=np.int64)
     for b in range(m):
-        pop += ((masks >> b) & 1).astype(np.int16)
-    order = np.argsort(pop, kind="stable")
-    counts = np.bincount(pop, minlength=m + 1)
-    starts = np.concatenate(([0], np.cumsum(counts)))
+        # every mask holding bit b exceeds every mask over the lower bits
+        high = [layer | (1 << b) for layer in layers]
+        layers = [np.concatenate(pair)
+                  for pair in zip(layers + [empty], [empty] + high)]
+    return layers
+
+
+def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
+                     dtype: type) -> Callable[[int], list[int]]:
+    m = len(interior)
+    unset = int(np.iinfo(dtype).max) // 2
+    DU = np.array([[D[a][b] for b in interior] for a in interior],
+                  dtype=dtype)
+    masks = _popcount_layers(m)
+    bits = np.arange(m)[:, None]
+    prev = np.full((m, m), unset, dtype=dtype)
+    np.fill_diagonal(prev, [D[dest_i][v] for v in interior])
+    prev_has = np.eye(m, dtype=bool)
+    table = [None, prev]
     for p in range(2, m + 1):
-        batch = order[starts[p]:starts[p + 1]]
+        has = (masks[p] >> bits) & 1 == 1
+        cur = np.full((m, masks[p].size), unset, dtype=dtype)
         for i in range(m):
-            sub = batch[(batch >> i) & 1 == 1]
-            if sub.size == 0:
-                continue
-            src = sub ^ (1 << i)
-            vals = (g[src] + DU[:, i]).min(axis=1)
-            g[sub, i] = vals
-    return g
+            # dropping bit i keeps mask order, so the sources of the layer-p
+            # masks holding i are the layer-(p-1) masks lacking i, in order;
+            # take() keeps the gather C-contiguous for the add and the min
+            x = prev.take(np.flatnonzero(~prev_has[i]), axis=1)
+            x += DU[:, i, None]
+            cur[i, has[i]] = x.min(axis=0)
+        table.append(cur)
+        prev, prev_has = cur, has
+
+    def column(mask: int) -> list[int]:
+        p = bin(mask).count("1")
+        c = int(np.searchsorted(masks[p], mask))
+        return [_INF if v == unset else v for v in table[p][:, c].tolist()]
+
+    return column
 
 
 def _dp_order(D: list[list[int]], origin_i: int, dest_i: int,
@@ -122,29 +147,30 @@ def _dp_order(D: list[list[int]], origin_i: int, dest_i: int,
     a non-empty `interior`; origin_i == dest_i makes it a closed tour."""
     r = len(D)
     m = len(interior)
-    big = max(max(row) for row in D)
-    use_numpy = m >= _NUMPY_MIN_INTERIOR and big * (r + 1) < _INT64_LIMIT
+    reach = max(max(row) for row in D) * (r + 1)
+    use_numpy = m >= _NUMPY_MIN_INTERIOR and reach < _INT64_LIMIT
     if use_numpy:
-        g = _suffix_table_np(D, dest_i, interior)
+        dtype = np.int32 if reach < _INT32_LIMIT else np.int64
+        column = _suffix_table_np(D, dest_i, interior, dtype)
     else:
-        g = _suffix_table_py(D, dest_i, interior)
+        column = _suffix_table_py(D, dest_i, interior)
 
-    full = (1 << m) - 1
     order = [origin_i]
     pos = origin_i
-    remaining = full
+    remaining = (1 << m) - 1
     total = 0
     while remaining:
+        costs = column(remaining)
         best_cost = None
         best_j = -1
         for j in range(m):
             if not remaining >> j & 1:
                 continue
-            c = D[pos][interior[j]] + int(g[remaining][j])
+            c = D[pos][interior[j]] + costs[j]
             if best_cost is None or c < best_cost:
                 best_cost = c
                 best_j = j
-        # an unset numpy cell holds _INF; Python-kernel ints may exceed it
+        # an unset numpy cell reads as _INF; Python-kernel ints may exceed it
         assert best_cost is not None and (best_cost < _INF or not use_numpy)
         total += D[pos][interior[best_j]]
         pos = interior[best_j]

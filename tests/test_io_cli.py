@@ -142,23 +142,36 @@ class TestCli:
         assert main(["run", str(tmp_path / "missing.json"),
                      "--explorer", "nn"]) == 1
 
-    @pytest.mark.parametrize("edges, message", [
-        ([{"a": 0, "b": 1, "lower": "1", "upper": "1/0", "actual": "1"}],
+    @pytest.mark.parametrize("fields, message", [
+        ({"edges": [{"a": 0, "b": 1, "lower": "1", "upper": "1/0",
+                     "actual": "1"}]},
          "edge 0: bad field 'upper'"),
-        (5, "bad field 'edges'"),
-        ([{"a": 0, "b": 1, "lower": "1", "upper": "2", "actual": "1"},
-          {"a": 1, "b": 2, "lower": "1", "upper": "2", "actual": "5"}],
+        ({"edges": 5}, "bad field 'edges'"),
+        ({"edges": [{"a": 0, "b": 1, "lower": "1", "upper": "2",
+                     "actual": "1"},
+                    {"a": 1, "b": 2, "lower": "1", "upper": "2",
+                     "actual": "5"}]},
          "edge 1: actual 5 outside its interval [1, 2]"),
-        ([{"a": 0, "b": 1, "lower": "1", "upper": "2", "actual": "0"},
-          {"a": 1, "b": 2, "lower": "1", "upper": "2", "actual": "1"}],
+        ({"edges": [{"a": 0, "b": 1, "lower": "1", "upper": "2",
+                     "actual": "0"},
+                    {"a": 1, "b": 2, "lower": "1", "upper": "2",
+                     "actual": "1"}]},
          "edge 0: actual 0 outside its interval [1, 2]"),
+        # integers are never truncated from a float or read from a bool
+        ({"t": 2.9}, "bad field 't'"),
+        ({"n": True}, "bad field 'n'"),
+        ({"edges": [{"a": 0, "b": 1.7, "lower": "1", "upper": "2",
+                     "actual": "1"}]},
+         "edge 0: bad field 'b'"),
     ], ids=["upper-1/0", "edges-not-a-list", "actual-above-upper",
-            "actual-zero"])
-    def test_malformed_instance_fields_exit_1(self, edges, message,
+            "actual-zero", "t-float", "n-bool", "b-float"])
+    def test_malformed_instance_fields_exit_1(self, fields, message,
                                               tmp_path, capsys):
+        instance = {"n": 3, "s": 0, "t": 2, "edges": [
+            {"a": 0, "b": 1, "lower": "1", "upper": "2", "actual": "1"},
+            {"a": 1, "b": 2, "lower": "1", "upper": "2", "actual": "1"}]}
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"n": 3, "s": 0, "t": 2, "edges": edges}),
-                       encoding="utf-8")
+        bad.write_text(json.dumps({**instance, **fields}), encoding="utf-8")
         for argv in (["validate", str(bad)], ["oracle", str(bad)],
                      ["run", str(bad), "--explorer", "adaptive"]):
             assert main(argv) == 1

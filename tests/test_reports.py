@@ -78,7 +78,10 @@ class TestSweep:
             explorers=["precompute"], seeds=[0]))
         by_n = {r["n"]: r for r in rows}
         assert by_n["6"]["offline_kind"] == "exact"
-        assert by_n["30"]["offline_kind"].startswith("error")
+        # the error row says why: the exception type and its message
+        assert by_n["30"]["offline_kind"] == (
+            "error:SolverCapExceeded: instance too large for exact oracle: "
+            "30 required vertices exceed cap 20")
         assert by_n["30"]["ratio"] == ""
 
     def test_determinism_and_formats_identical(self, tmp_path):
@@ -134,9 +137,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_config(grid={"m": [4], "alpha": ["2"]})
         # a missing or malformed value fails the load, naming the parameter
+        # (a float or a bool is refused, not truncated to an integer)
         for grid in ({"alpha": ["2"]}, {"k": [3, "three"], "alpha": ["2"]},
                      {"k": [[3]], "alpha": ["2"]},
-                     {"k": [3], "alpha": ["1/0"]}):
+                     {"k": [3], "alpha": ["1/0"]},
+                     {"k": [3.7], "alpha": ["2"]},
+                     {"k": [True], "alpha": ["2"]}):
             with pytest.raises(ValueError, match="'(k|alpha)'"):
                 sweep_config(grid=grid)
 

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from boundwalk import (CoverTask, Edge, EstimateGraph, SolverCapExceeded,
@@ -97,33 +98,55 @@ def test_cap_exceeded_is_loud():
 
 
 def test_oracle_equivalence_random_instances():
-    for seed in range(40):
-        graph, assignment = random_instance(4 + seed % 6, density=0.4,
-                                            seed=seed)
+    # n = 10 gives an interior of 8, the smallest the numpy kernel takes
+    cases = [(4 + seed % 6, seed) for seed in range(40)]
+    cases += [(10, seed) for seed in range(6)]
+    for n, seed in cases:
+        graph, assignment = random_instance(n, density=0.4, seed=seed)
         task = cover_all(graph, assignment.weights)
         walk, cost = optimal_cover_walk(graph, task)
         bwalk, bcost = brute_force_cover(graph, task)
-        assert cost == bcost, f"seed {seed}"
-        assert walk.vertices == bwalk.vertices, f"seed {seed}"
+        assert cost == bcost, f"n {n} seed {seed}"
+        assert walk.vertices == bwalk.vertices, f"n {n} seed {seed}"
         assert walk_violations(graph, walk, assignment.weights) == []
         assert set(walk.vertices) == set(range(graph.vertex_count))
 
 
 def test_numpy_and_python_kernels_agree():
+    # both tables, read through their column accessors, agree on every
+    # (non-empty mask, j), unset cells included
     import random
-    for seed in range(10):
-        rng = random.Random(seed)
-        r = 9
-        D = [[0] * r for _ in range(r)]
-        for i in range(r):
-            for j in range(i + 1, r):
-                D[i][j] = D[j][i] = rng.randint(1, 30)
+    cases = []
+    for m in range(8, 13):
+        for seed in range(3):
+            rng = random.Random(seed)
+            r = m + 2
+            D = [[0] * r for _ in range(r)]
+            for i in range(r):
+                for j in range(i + 1, r):
+                    D[i][j] = D[j][i] = rng.randint(1, 30)
+            cases.append((D, np.int32))
+    # three coprime denominators near 1000 put the scaled closure entries
+    # past the int32 bound but inside the int64 guard
+    primes = (997, 991, 983)
+    g = complete_graph(10, F(2))
+    w = {eid: 1 + F(eid, primes[eid % 3]) for eid in range(len(g.edges))}
+    task = cover_all(g, w)
+    D = metric_closure(g, w, task.required_vertices()).matrix
+    reach = max(map(max, D)) * (len(D) + 1)
+    assert solver._INT32_LIMIT <= reach < solver._INT64_LIMIT
+    cases.append((D, np.int64))
+    for D, dtype in cases:
+        r = len(D)
         interior = list(range(1, r - 1))
-        gp = _suffix_table_py(D, r - 1, interior)
-        gn = _suffix_table_np(D, r - 1, interior)
-        assert all(gp[mask][j] == int(gn[mask][j])
-                   for mask in range(1 << len(interior))
-                   for j in range(len(interior)))
+        py_column = _suffix_table_py(D, r - 1, interior)
+        np_column = _suffix_table_np(D, r - 1, interior, dtype)
+        for mask in range(1, 1 << len(interior)):
+            assert py_column(mask) == np_column(mask), f"mask {mask:b}"
+    # and the solve picks int64 for the K_10 case, where int32 would wrap
+    walk, cost = optimal_cover_walk(g, task)
+    bwalk, bcost = brute_force_cover(g, task)
+    assert (walk.vertices, cost) == (bwalk.vertices, bcost)
 
 
 def test_large_denominators_take_python_kernel(monkeypatch):
