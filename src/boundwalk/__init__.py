@@ -1,10 +1,10 @@
 """Simulator and competitive-analysis harness for online graph exploration
 with interval-estimated edge weights."""
 
-from .graph import (AlphaProfile, Edge, EstimateGraph, MetricClosure, Walk,
-                    WeightAssignment, alpha_of, metric_closure,
-                    shortest_paths, validate, walk_of_vertices,
-                    walk_violations)
+from .graph import (AlphaProfile, Distances, Edge, EstimateGraph,
+                    MetricClosure, Walk, WeightAssignment, alpha_of,
+                    metric_closure, shortest_paths, validate,
+                    walk_of_vertices, walk_violations)
 from .solver import (BRUTE_FORCE_CAP, CoverTask, DEFAULT_EXACT_CAP,
                      SolverCapExceeded, brute_force_cover, optimal_cover_walk,
                      pessimistic_weights, worst_case_cover_walk)

@@ -2,7 +2,9 @@
 oracle queries, and instance validation.
 
 Exit codes: 0 ok, 1 invalid input, 2 exact-solver cap exceeded,
-3 internal invariant violation.
+3 internal invariant violation.  A sweep writes its reports whatever its
+rows hold, then exits 2 when every failed row exceeded the solver cap and 1
+when any other row failed.
 """
 from __future__ import annotations
 
@@ -143,9 +145,14 @@ def _cmd_sweep(args) -> int:
     csv_path, json_path = write_reports(rows, config.out,
                                         formats=args.format)
     written = " and ".join(str(p) for p in (csv_path, json_path) if p)
-    failures = [r for r in rows if r["offline_kind"].startswith("error")]
+    failures = [r["offline_kind"] for r in rows
+                if r["offline_kind"].startswith("error:")]
     print(f"wrote {written} ({len(rows)} rows, {len(failures)} failed)")
-    return EXIT_OK
+    if not failures:
+        return EXIT_OK
+    if all(kind.startswith("error:SolverCapExceeded:") for kind in failures):
+        return EXIT_SOLVER_CAP
+    return EXIT_INVALID
 
 
 def _cmd_oracle(args) -> int:

@@ -5,11 +5,20 @@ Reveal rule: an edge's actual weight is fixed the first time one of its
 endpoints is visited (including the start vertex before the first decision).
 Every revealed weight must lie in its announced interval; violations raise
 AdversaryFault.  Episodes are strictly sequential and fully replayable.
+
+`start_episode` checks the whole view: the revealed edges are exactly those
+incident to visited vertices, each weight inside its interval.  `move`
+then checks only what its step changed: every edge incident to the new
+position is revealed, the reveal map grew by exactly the step's new events,
+and each of them is incident to the new position (their intervals are
+checked as they are revealed).  A view's `revealed` is a read-only mapping,
+so by induction every view of an episode passes the full check as well.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Protocol, Sequence
 
 from .graph import (EstimateGraph, Walk, WeightAssignment, walk_violations)
@@ -131,13 +140,29 @@ def _check_view(view: KnowledgeView) -> None:
                                  f"of edge {eid}")
 
 
+def _check_step(old: KnowledgeView, new: KnowledgeView,
+                events: list[Reveal]) -> None:
+    graph = new.graph
+    to = new.position
+    if not all(eid in new.revealed for _, eid in graph.neighbors(to)):
+        raise EngineError(f"an edge incident to vertex {to} is unrevealed")
+    if len(new.revealed) != len(old.revealed) + len(events):
+        raise EngineError("reveal set grew by other than the step's events")
+    for event in events:
+        e = graph.edges[event.edge]
+        if to not in (e.a, e.b):
+            raise EngineError(f"edge {event.edge} revealed away from "
+                              f"vertex {to}")
+
+
 def start_episode(graph: EstimateGraph, source: WeightSource) -> KnowledgeView:
     """Place the agent at the start vertex and reveal its incident edges."""
     revealed: dict[int, Fraction] = {}
     seq = (graph.start,)
     events = _reveal_incident(graph, source, revealed, graph.start, seq)
     view = KnowledgeView(graph=graph, visited=frozenset({graph.start}),
-                         position=graph.start, revealed=revealed,
+                         position=graph.start,
+                         revealed=MappingProxyType(revealed),
                          paid=Fraction(0), history=(), reveals=tuple(events),
                          _source=source)
     _check_view(view)
@@ -152,16 +177,17 @@ def move(view: KnowledgeView, to: int) -> KnowledgeView:
         raise IllegalMove(f"no edge between {view.position} and {to}")
     w = view.revealed[eid]
     revealed = dict(view.revealed)
-    visited = view.visited | {to}
-    seq = view.visit_sequence + (to,)
-    events = list(view.reveals)
+    events = []
     if to not in view.visited:
-        events.extend(_reveal_incident(graph, view._source, revealed, to, seq))
-    new = KnowledgeView(graph=graph, visited=visited, position=to,
-                        revealed=revealed, paid=view.paid + w,
+        seq = view.visit_sequence + (to,)
+        events = _reveal_incident(graph, view._source, revealed, to, seq)
+    new = KnowledgeView(graph=graph, visited=view.visited | {to}, position=to,
+                        revealed=MappingProxyType(revealed),
+                        paid=view.paid + w,
                         history=view.history + (Move(view.position, to, eid, w),),
-                        reveals=tuple(events), _source=view._source)
-    _check_view(new)
+                        reveals=view.reveals + tuple(events),
+                        _source=view._source)
+    _check_step(view, new, events)
     return new
 
 

@@ -1,17 +1,45 @@
 """Online exploration policies: lower-bound precompute, worst-case
 replanning, and a nearest-neighbor baseline.
 
-Policies are per-episode values (the first two keep a plan or replay index);
-create a fresh one per run via make_explorer.
+Policies are per-episode values (precompute keeps a plan and a replay
+index); create a fresh one per run via make_explorer.  The adaptive and nn
+explorers keep one `Distances` per episode: all-pairs distances under the
+pessimistic weights (revealed actuals, upper bounds elsewhere), built when
+an episode starts and lowered by each reveal since the previous decision.
+Reveals only ever lower a pessimistic weight, so this matches a rebuild
+exactly.  A view whose reveals do not extend those of the last view seen
+(another graph or episode, or an earlier step) gets a fresh build, so
+reusing one of these explorers never changes its decisions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .engine import KnowledgeView
-from .graph import shortest_paths
+from .graph import Distances
 from .solver import (CoverTask, DEFAULT_EXACT_CAP, optimal_cover_walk,
                      pessimistic_weights, worst_case_cover_walk)
+
+
+class _EpisodeDistances:
+    """The pessimistic `Distances` of the episode a view belongs to."""
+
+    def __init__(self) -> None:
+        self._distances: Distances | None = None
+        self._last: KnowledgeView | None = None
+
+    def of(self, view: KnowledgeView) -> Distances:
+        last = self._last
+        # the matrix depends only on the graph and the reveals so far
+        if (last is not None and view.graph is last.graph
+                and view.reveals[:len(last.reveals)] == last.reveals):
+            for event in view.reveals[len(last.reveals):]:
+                self._distances.lower(event.edge, event.weight)
+        else:
+            self._distances = Distances(
+                view.graph, pessimistic_weights(view.graph, view.revealed))
+        self._last = view
+        return self._distances
 
 
 class PrecomputeExplorer:
@@ -54,11 +82,13 @@ class AdaptiveExplorer:
 
     def __init__(self, cap: int = DEFAULT_EXACT_CAP):
         self._cap = cap
+        self._distances = _EpisodeDistances()
         self.plan_costs: list[Fraction] = []
 
     def decide(self, view: KnowledgeView) -> int:
-        walk, cost = worst_case_cover_walk(view.graph, view, view.graph.end,
-                                           cap=self._cap)
+        walk, cost = worst_case_cover_walk(
+            view.graph, view, view.graph.end, cap=self._cap,
+            distances=self._distances.of(view))
         self.plan_costs.append(cost)
         return walk.vertices[1]
 
@@ -69,19 +99,19 @@ class NearestNeighborExplorer:
 
     name = "nn"
 
+    def __init__(self) -> None:
+        self._distances = _EpisodeDistances()
+
     def decide(self, view: KnowledgeView) -> int:
         graph = view.graph
-        weights = pessimistic_weights(graph, view.revealed)
-        dists, preds = shortest_paths(graph, weights, view.position)
-        targets = sorted(view.unvisited - {graph.end})
+        distances = self._distances.of(view)
+        row = distances.row(view.position)
+        targets = view.unvisited - {graph.end}
         if targets:
-            goal = min(targets, key=lambda v: (dists[v], v))
+            goal = min(targets, key=lambda v: (row[v], v))
         else:
             goal = graph.end
-        step = goal
-        while preds.get(step) is not None and preds[step] != view.position:
-            step = preds[step]
-        return step
+        return distances.path(view.position, goal)[1]
 
 
 EXPLORERS = {

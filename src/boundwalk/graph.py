@@ -1,18 +1,37 @@
 """Core graph model: interval-announced edge weights, validation, shortest paths.
 
 Weights are exact rationals (`fractions.Fraction`) at the API edges: input
-weights, walk step costs and returned costs.  Inside the metric closure and
-the solver's DP they are integers over one common denominator.  Every
-comparison in the harness is exact, never tolerance-based.  Tie-breaking is
-deterministic everywhere: smaller vertex id wins, then smaller edge id.
+weights, walk step costs and returned costs.  Inside `Distances`, the
+metric closure and the solver's DP they are integers over one common
+denominator.  Every comparison in the harness is exact, never
+tolerance-based.  Tie-breaking is deterministic everywhere: smaller vertex
+id wins, then smaller edge id.
+
+Every shortest distance and path comes from `Distances`, an all-pairs
+matrix built by Floyd-Warshall and kept exact as edge weights decrease:
+`lower` repairs it in O(n^2) per edge (a decrease-only dynamic update),
+and rescales it when a weight brings a new denominator.  A path from u is
+rebuilt from u's distance row alone: each vertex x != u is entered from
+pred(x) = min{y in N(x) : d(u, y) + w(y, x) = d(u, x)}, the smallest
+optimal predecessor, which is the one a Dijkstra that keeps the smaller
+vertex id on ties settles on.  `metric_closure` and `shortest_paths` are
+one-off `Distances` queries.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
+
+# an instance holds an n x n distance matrix per episode: 8 MiB in int64
+MAX_VERTICES = 1024
+# int64 distances stay below n * max scaled weight < 2**59; 2**60 marks an
+# unreached pair during Floyd-Warshall, and two such plus a weight fit
+_INT64_SPAN = 1 << 59
+_FAR = 1 << 60
 
 
 class Edge(NamedTuple):
@@ -181,57 +200,28 @@ def scale_to_integers(graph: EstimateGraph,
     return denom, [w.numerator * (denom // w.denominator) for w in ws]
 
 
-def _dijkstra_int(graph: EstimateGraph, scaled: Sequence[int],
-                  source: int) -> tuple[list[int | None], list[int | None]]:
-    """Integer-weight Dijkstra with deterministic predecessors.
-
-    pred[v] is the smallest vertex id among all optimal predecessors of v,
-    so reconstructed shortest paths are unique and replayable.
-    """
-    n = graph.vertex_count
-    dist: list[int | None] = [None] * n
-    pred: list[int | None] = [None] * n
-    dist[source] = 0
-    heap: list[tuple[int, int]] = [(0, source)]
-    done = [False] * n
-    while heap:
-        d, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        for u, eid in graph.neighbors(v):
-            nd = d + scaled[eid]
-            du = dist[u]
-            if du is None or nd < du:
-                dist[u] = nd
-                pred[u] = v
-                heapq.heappush(heap, (nd, u))
-            elif nd == du and not done[u]:
-                prev = pred[u]
-                if prev is None or v < prev:
-                    pred[u] = v
-    return dist, pred
+def _predecessor(graph: EstimateGraph, scaled: Sequence[int],
+                 row: Sequence[int], x: int) -> int:
+    """Smallest neighbour y of x with row[y] + w(y, x) == row[x]: the
+    vertex a shortest path from the row's source enters x from.  With
+    positive weights every such y lies strictly closer to the source, so
+    this is the predecessor Dijkstra settles on when ties keep the smaller
+    vertex id."""
+    dx = row[x]
+    for y, eid in graph.neighbors(x):
+        if row[y] + scaled[eid] == dx:
+            return y
+    raise AssertionError(f"no optimal predecessor of vertex {x}")
 
 
-def shortest_paths(graph: EstimateGraph, weights: Mapping[int, Fraction],
-                   source: int) -> tuple[dict[int, Fraction], dict[int, int]]:
-    """Exact single-source shortest path distances and predecessor map."""
-    check_weights(graph, weights)
-    denom, scaled = scale_to_integers(graph, weights)
-    dist, pred = _dijkstra_int(graph, scaled, source)
-    dists = {v: Fraction(d, denom) for v, d in enumerate(dist) if d is not None}
-    preds = {v: p for v, p in enumerate(pred) if p is not None}
-    return dists, preds
-
-
-def _path_from_preds(pred: Sequence[int | None], source: int,
-                     target: int) -> list[int]:
-    path = [target]
-    while path[-1] != source:
-        p = pred[path[-1]]
-        if p is None:
-            raise ValueError(f"vertex {target} unreachable from {source}")
-        path.append(p)
+def _trace_path(graph: EstimateGraph, scaled: Sequence[int],
+                row: Sequence[int], u: int, v: int) -> list[int]:
+    """The u-v shortest path of smallest predecessors, from u's row."""
+    if row[v] == inf:
+        raise ValueError(f"vertex {v} unreachable from {u}")
+    path = [v]
+    while path[-1] != u:
+        path.append(_predecessor(graph, scaled, row, path[-1]))
     path.reverse()
     return path
 
@@ -243,15 +233,19 @@ class MetricClosure:
     `denom` times the distance from `vertices[i]` to `vertices[j]`.
     `expand(u, v)` recovers the underlying shortest path in the original
     graph, so closure-level solutions can be turned back into real walks.
+    The closure is a snapshot: lowering the `Distances` it came from
+    afterwards changes neither its entries nor its paths.
     """
 
     def __init__(self, vertices: tuple[int, ...], denom: int,
-                 matrix: list[list[int]],
-                 preds: list[list[int | None]]):
+                 matrix: list[list[int]], graph: EstimateGraph,
+                 scaled: list[int], rows: list[list[int]]):
         self.vertices = vertices
         self.denom = denom
         self.matrix = matrix
-        self._preds = preds
+        self._graph = graph
+        self._scaled = scaled
+        self._rows = rows
         self._index = {v: i for i, v in enumerate(vertices)}
 
     def distance(self, u: int, v: int) -> Fraction:
@@ -259,27 +253,118 @@ class MetricClosure:
                         self.denom)
 
     def expand(self, u: int, v: int) -> tuple[int, ...]:
-        return tuple(_path_from_preds(self._preds[self._index[u]], u, v))
+        return tuple(_trace_path(self._graph, self._scaled,
+                                 self._rows[self._index[u]], u, v))
+
+
+class Distances:
+    """Exact all-pairs shortest distances of one graph under weights that
+    only ever decrease, as an n x n integer matrix over one denominator.
+
+    Built by Floyd-Warshall; `lower(eid, w)` then decreases one edge's
+    weight and repairs every distance in O(n^2), since a shortest path uses
+    the lowered edge at most once.  The matrix is int64 while n times the
+    largest scaled weight stays below 2**59, so no sum of two distances and
+    a weight overflows; beyond that (huge denominators) it holds Python
+    integers.  Unreachable pairs hold `inf`, which only an object matrix
+    can; int64 matrices therefore cover connected graphs only.
+    """
+
+    def __init__(self, graph: EstimateGraph,
+                 weights: Mapping[int, Fraction]):
+        n = graph.vertex_count
+        if n > MAX_VERTICES:
+            raise ValueError(f"{n} vertices exceed the limit of "
+                             f"{MAX_VERTICES}")
+        check_weights(graph, weights)
+        self.graph = graph
+        self.denom, self._scaled = scale_to_integers(graph, weights)
+        self._top = max(self._scaled, default=0)
+        narrow = n * self._top < _INT64_SPAN
+        D = np.full((n, n), _FAR if narrow else inf,
+                    dtype=np.int64 if narrow else object)
+        np.fill_diagonal(D, 0)
+        for e, s in zip(graph.edges, self._scaled):
+            if s < D[e.a, e.b]:
+                D[e.a, e.b] = D[e.b, e.a] = s
+        for k in range(n):
+            np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
+        if narrow:
+            far = D == _FAR
+            if far.any():  # a disconnected graph: only objects hold inf
+                D = D.astype(object)
+                D[far] = inf
+        self._matrix = D
+
+    def lower(self, eid: int, weight: Fraction) -> None:
+        """Decrease edge `eid` to `weight` and every distance through it."""
+        factor = lcm(self.denom, weight.denominator) // self.denom
+        if factor > 1:
+            self._rescale(factor)
+        s = weight.numerator * (self.denom // weight.denominator)
+        if not 0 < s <= self._scaled[eid]:
+            raise ValueError(f"weight {weight} for edge {eid} is not a "
+                             f"positive decrease")
+        self._scaled[eid] = s
+        e = self.graph.edges[eid]
+        D = self._matrix
+        if D[e.a, e.b] <= s:  # an a-b path as cheap as the edge remains
+            return
+        np.minimum(D, D[:, e.a, None] + (s + D[None, e.b, :]), out=D)
+        np.minimum(D, D[:, e.b, None] + (s + D[None, e.a, :]), out=D)
+
+    def _rescale(self, factor: int) -> None:
+        self.denom *= factor
+        self._scaled = [s * factor for s in self._scaled]
+        self._top *= factor
+        if (self._matrix.dtype != object
+                and self.graph.vertex_count * self._top >= _INT64_SPAN):
+            self._matrix = self._matrix.astype(object)
+        self._matrix *= factor
+
+    def row(self, u: int) -> list[int]:
+        """`denom` times the distance from u to every vertex (`inf` where
+        unreachable)."""
+        return self._matrix[u].tolist()
+
+    def path(self, u: int, v: int) -> list[int]:
+        """A shortest u-v path, each vertex entered from its smallest
+        optimal predecessor."""
+        return _trace_path(self.graph, self._scaled, self.row(u), u, v)
+
+    def predecessors(self, u: int) -> dict[int, int]:
+        """The smallest optimal predecessor of every vertex reachable from
+        u, u itself excluded."""
+        row = self.row(u)
+        return {x: _predecessor(self.graph, self._scaled, row, x)
+                for x, d in enumerate(row) if x != u and d != inf}
+
+    def closure(self, required: Iterable[int]) -> MetricClosure:
+        """The current distances among `required`, as a snapshot."""
+        verts = tuple(sorted(set(required)))
+        rows = self._matrix[list(verts)].tolist()
+        matrix = [[row[v] for v in verts] for row in rows]
+        for u, row in zip(verts, matrix):
+            if inf in row:
+                raise ValueError(f"vertex {verts[row.index(inf)]} "
+                                 f"unreachable from {u}")
+        return MetricClosure(verts, self.denom, matrix, self.graph,
+                             list(self._scaled), rows)
+
+
+def shortest_paths(graph: EstimateGraph, weights: Mapping[int, Fraction],
+                   source: int) -> tuple[dict[int, Fraction], dict[int, int]]:
+    """Exact single-source shortest path distances and predecessor map."""
+    dist = Distances(graph, weights)
+    dists = {v: Fraction(d, dist.denom)
+             for v, d in enumerate(dist.row(source)) if d != inf}
+    return dists, dist.predecessors(source)
 
 
 def metric_closure(graph: EstimateGraph, weights: Mapping[int, Fraction],
                    required: Iterable[int]) -> MetricClosure:
-    """Integer distance matrix over `required` plus one Dijkstra
-    predecessor list per source for path expansion."""
-    check_weights(graph, weights)
-    verts = tuple(sorted(set(required)))
-    denom, scaled = scale_to_integers(graph, weights)
-    matrix: list[list[int]] = []
-    preds: list[list[int | None]] = []
-    for u in verts:
-        d, pred = _dijkstra_int(graph, scaled, u)
-        row = [d[v] for v in verts]
-        if None in row:
-            v = verts[row.index(None)]
-            raise ValueError(f"vertex {v} unreachable from {u}")
-        matrix.append(row)
-        preds.append(pred)
-    return MetricClosure(verts, denom, matrix, preds)
+    """Integer distance matrix over `required`, with path expansion."""
+    return Distances(graph, weights).closure(required)
 
 
 def walk_violations(graph: EstimateGraph, walk: Walk,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .adversaries import FAMILIES, Instance, parse_fraction, parse_int
-from .graph import Edge, EstimateGraph, WeightAssignment
+from .graph import MAX_VERTICES, Edge, EstimateGraph, WeightAssignment
 
 
 def instance_to_dict(graph: EstimateGraph,
@@ -44,7 +44,12 @@ def _field(obj: dict, key: str, parse, where: str = ""):
 def instance_from_dict(data: dict) -> tuple[EstimateGraph,
                                             WeightAssignment | None]:
     """Graph and optional actual weights; ValueError names a missing or
-    malformed field, or an actual weight outside its edge's interval."""
+    malformed field, an actual weight outside its edge's interval, or a
+    vertex count above MAX_VERTICES (checked before anything is built)."""
+    n, start, end = (_field(data, key, parse_int) for key in ("n", "s", "t"))
+    if n > MAX_VERTICES:
+        raise ValueError(f"bad field 'n': {n} vertices exceed the limit of "
+                         f"{MAX_VERTICES}")
     edges = []
     actuals: dict[int, Fraction] = {}
     have_actuals = True
@@ -62,7 +67,6 @@ def instance_from_dict(data: dict) -> tuple[EstimateGraph,
             actuals[eid] = actual
         else:
             have_actuals = False
-    n, start, end = (_field(data, key, parse_int) for key in ("n", "s", "t"))
     graph = EstimateGraph(n, edges, start, end)
     assignment = WeightAssignment(actuals) if have_actuals and edges else None
     return graph, assignment

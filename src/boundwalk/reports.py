@@ -26,11 +26,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .adversaries import FAMILIES
+from .adversaries import FAMILIES, parse_int
 from .engine import run_episode
 from .explorers import make_explorer
 from .graph import alpha_of
 from .solver import DEFAULT_EXACT_CAP
+
+# one worker process per job: a bound, not a default
+MAX_JOBS = 64
 
 CSV_COLUMNS = ("family", "k", "depth", "alpha", "m", "n", "seed", "explorer",
                "online_cost", "offline_cost", "offline_kind", "ratio",
@@ -62,14 +65,32 @@ class SweepConfig:
             grid=grid,
             explorers=tuple(data.get("explorers", ["precompute", "adaptive",
                                                    "nn"])),
-            seeds=tuple(int(s) for s in data.get("seeds", [0])),
+            seeds=_config_field(data, "seeds", [0], _int_tuple),
             out=data.get("out", "sweep_report"),
-            jobs=int(data.get("jobs", 1)),
-            solver_cap=int(data.get("solver_cap", DEFAULT_EXACT_CAP)),
+            jobs=_config_field(data, "jobs", 1, parse_int),
+            solver_cap=_config_field(data, "solver_cap", DEFAULT_EXACT_CAP,
+                                     parse_int),
         )
+        if not 1 <= config.jobs <= MAX_JOBS:
+            raise ValueError(f"field 'jobs': {config.jobs} is outside "
+                             f"1..{MAX_JOBS}")
         for params in _grid_points(config):
             FAMILIES[family].parse(params)  # a bad value fails the config
         return config
+
+
+def _config_field(data: dict, key: str, default, parse):
+    """parse(data[key]) or parse(default); ValueError names the field."""
+    try:
+        return parse(data.get(key, default))
+    except ValueError as exc:
+        raise ValueError(f"field {key!r}: {exc}") from exc
+
+
+def _int_tuple(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, got {value!r}")
+    return tuple(parse_int(v) for v in value)
 
 
 def _grid_points(config: SweepConfig) -> list[dict]:

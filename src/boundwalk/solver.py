@@ -12,28 +12,39 @@ to original edges.
 
 The metric closure holds its distances as integers over one common
 denominator; the DP works on that matrix and only the returned cost is
-converted back to an exact rational.  A numpy kernel handles interiors of
-8 or more vertices, a plain-Python kernel smaller ones and arbitrarily
-large integers; both implement the same recurrence and hand the
-reconstruction the same `column(mask) -> per-vertex costs` accessor.
+converted back to an exact rational.  The closure comes from a fresh
+`metric_closure` of the task's weights, or from a caller's `Distances`
+that already holds them (the replanning explorers keep one per episode).
+A numpy kernel handles interiors of 6 or more vertices, a plain-Python
+kernel smaller ones and arbitrarily large integers; both implement the
+same recurrence and hand the reconstruction the same `column(mask) ->
+per-vertex costs` accessor.
 
 The numpy table is layered by popcount: layer p is an (m, C(m, p)) array
 whose columns are the p-element masks in increasing order, so each layer
 is computed from the one below it alone.  Its dtype follows the closure:
 int32 when max entry * (r + 1) < 2**30, else int64; beyond 2**48 the
 Python kernel takes over.  Unset cells hold half the dtype's maximum.
+A layer is filled in chunks of bits, each one gather of the layer-(p-1)
+columns that feed its cells: as many bits as keep a gather within 2**15
+cells, at least one (a whole layer at an interior of 18 would gather
+m^2 * C(m-1, p-1) cells, 31 MB in int32).  For interiors up to 12 this
+index plan is built once per size and cached, 0.23 MiB in all; larger
+interiors build it chunk by chunk and drop it.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
-from typing import Callable, Mapping, TYPE_CHECKING
+from functools import lru_cache
+from math import comb, inf
+from typing import Callable, Iterable, Iterator, Mapping, TYPE_CHECKING
 
 import numpy as np
 
-from .graph import EstimateGraph, Walk, metric_closure, walk_of_vertices
+from .graph import (Distances, EstimateGraph, Walk, metric_closure,
+                    walk_of_vertices)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import KnowledgeView
@@ -42,7 +53,11 @@ DEFAULT_EXACT_CAP = 20
 BRUTE_FORCE_CAP = 10
 
 # numpy pays off once the mask space is non-trivial
-_NUMPY_MIN_INTERIOR = 8
+_NUMPY_MIN_INTERIOR = 6
+# interiors up to this size keep their kernel index plan cached
+_PLAN_CACHE_MAX = 12
+# cells one kernel gather may hold, unless a single bit needs more
+_GATHER_CELLS = 1 << 15
 # max entry * (r + 1) below these bounds every table value, and an unset
 # cell (half the dtype's max) plus any entry stays clear of overflow
 _INT32_LIMIT = 1 << 30
@@ -107,30 +122,82 @@ def _popcount_layers(m: int) -> list[np.ndarray]:
     return layers
 
 
+def _layer_chunks(prev_has: np.ndarray, has: np.ndarray,
+                  size: int) -> Iterator:
+    # dropping bit i keeps mask order, so the sources of the layer-p masks
+    # holding i are the layer-(p-1) masks lacking i, in order
+    width = prev_has.shape[1]
+    for lo in range(0, len(has), size):
+        bits = slice(lo, lo + size)
+        lacking = ~prev_has[bits]
+        # flat positions, row by row; row k starts k * width further on
+        sources = np.flatnonzero(lacking).reshape(len(lacking), -1)
+        sources[1:] -= np.arange(1, len(lacking))[:, None] * width
+        yield bits, sources, has[bits]
+
+
+def _index_steps(masks: list[np.ndarray]) -> Iterator[Iterator]:
+    """Per layer p >= 2, (bits, sources, targets) chunks: for each bit i
+    in the `bits` slice, a row of the layer-(p-1) columns that feed the
+    layer-p masks holding i, and a row of `targets` marking those masks
+    among the layer's columns.  A chunk takes as many bits as keep its
+    gather within _GATHER_CELLS, and at least one; chunks are generated
+    as needed, so a layer's sources are never all held at once."""
+    m = len(masks) - 1
+    bits = np.arange(m)[:, None]
+    prev_has = np.eye(m, dtype=bool)
+    for p in range(2, m + 1):
+        has = (masks[p] >> bits) & 1 == 1
+        size = max(1, _GATHER_CELLS // (m * comb(m - 1, p - 1)))
+        yield _layer_chunks(prev_has, has, size)
+        prev_has = has
+
+
+@lru_cache(maxsize=None)
+def _cached_plan(m: int) -> tuple[list[np.ndarray], list[list[tuple]]]:
+    """`_index_steps` held in full, with int16 sources (a layer of
+    at most _PLAN_CACHE_MAX bits has fewer than 2**15 columns)."""
+    masks = _popcount_layers(m)
+    plan = [[(bits, sources.astype(np.int16), targets)
+             for bits, sources, targets in chunks]
+            for chunks in _index_steps(masks)]
+    # every solve of this size shares these arrays
+    for array in masks + [a for chunks in plan for c in chunks
+                          for a in c[1:]]:
+        array.flags.writeable = False
+    return masks, plan
+
+
+def _plan(m: int) -> tuple[list[np.ndarray], Iterable[Iterable]]:
+    """Masks by popcount and the index chunks of `_index_steps`, cached for
+    interiors up to _PLAN_CACHE_MAX."""
+    if m > _PLAN_CACHE_MAX:
+        masks = _popcount_layers(m)
+        return masks, _index_steps(masks)
+    return _cached_plan(m)
+
+
 def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
                      dtype: type) -> Callable[[int], list[int]]:
     m = len(interior)
     unset = int(np.iinfo(dtype).max) // 2
     DU = np.array([[D[a][b] for b in interior] for a in interior],
                   dtype=dtype)
-    masks = _popcount_layers(m)
-    bits = np.arange(m)[:, None]
+    masks, plan = _plan(m)
     prev = np.full((m, m), unset, dtype=dtype)
     np.fill_diagonal(prev, [D[dest_i][v] for v in interior])
-    prev_has = np.eye(m, dtype=bool)
     table = [None, prev]
-    for p in range(2, m + 1):
-        has = (masks[p] >> bits) & 1 == 1
+    for p, chunks in enumerate(plan, start=2):
         cur = np.full((m, masks[p].size), unset, dtype=dtype)
-        for i in range(m):
-            # dropping bit i keeps mask order, so the sources of the layer-p
-            # masks holding i are the layer-(p-1) masks lacking i, in order;
-            # take() keeps the gather C-contiguous for the add and the min
-            x = prev.take(np.flatnonzero(~prev_has[i]), axis=1)
-            x += DU[:, i, None]
-            cur[i, has[i]] = x.min(axis=0)
+        for bits, sources, targets in chunks:
+            # x[j, k, c] enters the c-th target of bit k from j; take()
+            # keeps the gather C-contiguous for the add and the min, and
+            # the min's rows fill the targets row by row
+            x = prev.take(sources, axis=1)
+            x += DU[:, bits, None]
+            cur[bits][targets] = x.min(axis=0).ravel()
         table.append(cur)
-        prev, prev_has = cur, has
+        prev = cur
 
     def column(mask: int) -> list[int]:
         p = bin(mask).count("1")
@@ -198,16 +265,19 @@ def _brute_force_order(D: list[list[int]], origin_i: int, dest_i: int,
 
 
 def _solve(graph: EstimateGraph, task: CoverTask, cap: int, oracle: str,
-           order_search: Callable[..., tuple[int, list[int]]]
-           ) -> tuple[Walk, Fraction]:
+           order_search: Callable[..., tuple[int, list[int]]],
+           distances: Distances | None = None) -> tuple[Walk, Fraction]:
     """Shared prelude and epilogue of the two oracles, which differ only in
-    `order_search` over the closure's integer matrix."""
+    `order_search` over the closure's integer matrix.  The closure comes
+    from `distances` when given (which must hold `task.weights`), else
+    from a fresh `metric_closure`."""
     required = task.required_vertices()
     if len(required) > cap:
         raise SolverCapExceeded(
             f"instance too large for {oracle}: {len(required)} required "
             f"vertices exceed cap {cap}")
-    closure = metric_closure(graph, task.weights, required)
+    closure = (metric_closure(graph, task.weights, required)
+               if distances is None else distances.closure(required))
     D = closure.matrix
     origin_i = required.index(task.origin)
     dest_i = required.index(task.destination)
@@ -229,9 +299,12 @@ def _solve(graph: EstimateGraph, task: CoverTask, cap: int, oracle: str,
 
 
 def optimal_cover_walk(graph: EstimateGraph, task: CoverTask, *,
-                       cap: int = DEFAULT_EXACT_CAP) -> tuple[Walk, Fraction]:
-    """Exact minimum-cost covering walk via subset DP on the metric closure."""
-    return _solve(graph, task, cap, "exact oracle", _dp_order)
+                       cap: int = DEFAULT_EXACT_CAP,
+                       distances: Distances | None = None
+                       ) -> tuple[Walk, Fraction]:
+    """Exact minimum-cost covering walk via subset DP on the metric closure
+    (taken from `distances` when it already holds `task.weights`)."""
+    return _solve(graph, task, cap, "exact oracle", _dp_order, distances)
 
 
 def brute_force_cover(graph: EstimateGraph, task: CoverTask, *,
@@ -250,10 +323,13 @@ def pessimistic_weights(graph: EstimateGraph,
 
 def worst_case_cover_walk(graph: EstimateGraph, view: "KnowledgeView",
                           destination: int, *,
-                          cap: int = DEFAULT_EXACT_CAP) -> tuple[Walk, Fraction]:
-    """Cheapest walk finishing the exploration under worst-case pricing."""
+                          cap: int = DEFAULT_EXACT_CAP,
+                          distances: Distances | None = None
+                          ) -> tuple[Walk, Fraction]:
+    """Cheapest walk finishing the exploration under worst-case pricing;
+    `distances`, when given, must hold the view's pessimistic weights."""
     weights = pessimistic_weights(graph, view.revealed)
     unvisited = frozenset(range(graph.vertex_count)) - view.visited
     task = CoverTask(weights=weights, origin=view.position,
                      destination=destination, must_visit=unvisited)
-    return optimal_cover_walk(graph, task, cap=cap)
+    return optimal_cover_walk(graph, task, cap=cap, distances=distances)

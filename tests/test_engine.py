@@ -7,7 +7,8 @@ from boundwalk import (AdversaryFault, Edge, EstimateGraph, FixedAssignment,
                        complete_graph, CompleteAdvSpec, make_explorer, move,
                        random_instance, realized_assignment, run_episode,
                        start_episode)
-from boundwalk.engine import Explorer, WeightSource
+from boundwalk import engine
+from boundwalk.engine import EngineError, Explorer, WeightSource
 from boundwalk.graph import WeightAssignment
 
 
@@ -82,6 +83,58 @@ class TestMove:
             expected = {eid for v in view.visited
                         for eid in g.incident_edges(v)}
             assert set(view.revealed) == expected
+
+    def test_revealed_is_read_only(self):
+        g, src = p3()
+        view = start_episode(g, src)
+        for v in (view, move(view, 1)):
+            with pytest.raises(TypeError):
+                v.revealed[0] = F(2)
+            with pytest.raises(TypeError):
+                del v.revealed[0]
+
+    def test_out_of_interval_reveal_mid_episode_is_adversary_fault(self):
+        # the start's edges are honest; the first edge revealed at vertex
+        # 2 comes back above its announced upper bound
+        g = complete_graph(4, F(2))
+
+        class LateLiar:
+            def reveal(self, eid, seq):
+                return F(3) if seq[-1] == 2 else F(1)
+
+            def complete(self, eid, seq):
+                return F(1)
+
+        view = move(start_episode(g, LateLiar()), 1)
+        with pytest.raises(AdversaryFault):
+            move(view, 2)
+
+    @pytest.mark.parametrize("fault", ["drop", "extra", "elsewhere"])
+    def test_step_check_catches_a_wrong_reveal_set(self, fault,
+                                                   monkeypatch):
+        # a faulty reveal step: an incident edge left out, an edge added
+        # without an event, or an event for an edge away from the target
+        g = complete_graph(5, F(2))
+        src = FixedAssignment(WeightAssignment(
+            {eid: F(1) for eid in range(len(g.edges))}))
+        view = move(start_episode(g, src), 1)
+        honest = engine._reveal_incident
+
+        def faulty(graph, source, revealed, vertex, seq):
+            events = honest(graph, source, revealed, vertex, seq)
+            if fault == "drop":
+                del revealed[events.pop().edge]
+            elif fault == "extra":
+                revealed[g.edge_between(3, 4)] = F(1)
+            else:
+                eid = g.edge_between(3, 4)
+                revealed[eid] = F(1)
+                events.append(engine.Reveal(eid, F(1), vertex))
+            return events
+
+        monkeypatch.setattr(engine, "_reveal_incident", faulty)
+        with pytest.raises(EngineError):
+            move(view, 2)
 
 
 class TestRunEpisode:

@@ -164,3 +164,31 @@ def test_all_explorers_complete_half_split_episodes():
         rep = run_episode(bundle.graph, bundle.source, make_explorer(name))
         assert rep.online_cost > 0
         assert rep.steps >= bundle.graph.vertex_count - 1
+
+
+@pytest.mark.parametrize("name", ["adaptive", "nn"])
+def test_reused_explorer_decides_as_fresh_ones(name):
+    # one explorer through whole episodes, then views out of order
+    # (skipped, repeated, reversed, or alternating between two episodes
+    # on one graph): every decision must be a fresh explorer's, whatever
+    # per-episode state it keeps
+    bundle = build_complete_adversary(CompleteAdvSpec(4, F(3, 2)))
+    graph, assignment = random_instance(9, density=0.4, seed=5)
+    episodes = []
+    for g, source in ((bundle.graph, bundle.source),
+                      (graph, FixedAssignment(assignment)),
+                      (bundle.graph, FixedAssignment(
+                          random_uniform_assignment(bundle.graph, 3)))):
+        views = [start_episode(g, source)]
+        fresh = make_explorer(name)
+        while not views[-1].is_complete:
+            views.append(move(views[-1], fresh.decide(views[-1])))
+        episodes.append(views[:-1])
+    reused = make_explorer(name)
+    first, _, third = episodes
+    alternating = [pair[k % 2]
+                   for k, pair in enumerate(zip(first, third))]
+    order = (first + episodes[1] + first[::2] + first[1::2]
+             + [first[2], first[2], first[3]] + first[::-1] + alternating)
+    for view in order:
+        assert reused.decide(view) == make_explorer(name).decide(view)

@@ -1,11 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boundwalk import (AlphaProfile, CoverTask, Edge, EstimateGraph, alpha_of,
-                       brute_force_cover, metric_closure, optimal_cover_walk,
-                       shortest_paths, validate, walk_of_vertices,
-                       walk_violations)
+                       brute_force_cover, complete_graph, metric_closure,
+                       optimal_cover_walk, random_instance, shortest_paths,
+                       validate, walk_of_vertices, walk_violations)
+from boundwalk.graph import MAX_VERTICES, Distances
 
 
 def path_graph(weights, intervals=None):
@@ -168,6 +170,122 @@ class TestMetricClosure:
         walk, cost = optimal_cover_walk(g, task)
         bwalk, bcost = brute_force_cover(g, task)
         assert (walk.vertices, cost) == (bwalk.vertices, bcost)
+
+
+def fraction_floyd_warshall(graph, weights):
+    """Reference all-pairs distances over exact rationals, in plain loops."""
+    n = graph.vertex_count
+    d = [[F(0) if i == j else None for j in range(n)] for i in range(n)]
+    for eid, e in enumerate(graph.edges):
+        if d[e.a][e.b] is None or weights[eid] < d[e.a][e.b]:
+            d[e.a][e.b] = d[e.b][e.a] = weights[eid]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] is not None and d[k][j] is not None and (
+                        d[i][j] is None or d[i][k] + d[k][j] < d[i][j]):
+                    d[i][j] = d[i][k] + d[k][j]
+    return d
+
+
+def assert_same_distances(graph, weights, lowered, fresh):
+    """Distances equal to the reference (as rationals, whatever the
+    denominators) and equal paths between every pair of vertices, from
+    rows and from closures."""
+    n = graph.vertex_count
+    reference = fraction_floyd_warshall(graph, weights)
+    for u in range(n):
+        assert ([F(d, lowered.denom) for d in lowered.row(u)]
+                == [F(d, fresh.denom) for d in fresh.row(u)]
+                == reference[u])
+        for v in range(n):
+            assert lowered.path(u, v) == fresh.path(u, v)
+    closure, fresh_closure = (d.closure(range(n)) for d in (lowered, fresh))
+    for u in range(n):
+        for v in range(n):
+            assert closure.expand(u, v) == fresh_closure.expand(u, v)
+            assert closure.distance(u, v) == fresh_closure.distance(u, v)
+
+
+# small denominators keep int64; several of the large primes together
+# push n * max scaled weight past 2**59 and the matrix to Python integers
+DENOMINATORS = [1, 2, 3, 7, 10, 99991, 99989, 99971, 99961]
+
+
+class TestDistances:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 9), seed=st.integers(0, 10_000),
+           density=st.sampled_from([0.2, 0.5, 0.9]), data=st.data())
+    def test_lowering_matches_a_fresh_build(self, n, seed, density, data):
+        graph, _ = random_instance(n, density=density, seed=seed)
+        weights = {eid: e.upper for eid, e in enumerate(graph.edges)}
+        lowered = Distances(graph, weights)
+        steps = data.draw(st.lists(st.tuples(
+            st.integers(0, len(graph.edges) - 1),
+            st.sampled_from(DENOMINATORS), st.integers(0, 1000)),
+            max_size=2 * len(graph.edges)))
+        for eid, den, k in steps:
+            lower = graph.edges[eid].lower
+            # a new weight in [lower, current] with denominator up to den
+            w = lower + (weights[eid] - lower) * F(k % (den + 1), den)
+            lowered.lower(eid, w)
+            weights[eid] = w
+        assert_same_distances(graph, weights, lowered,
+                              Distances(graph, weights))
+
+    def test_rescale_and_object_crossing(self):
+        # K_6 at integer upper bounds: int64 with denominator 1; lowering
+        # four edges to weights over large coprime denominators rescales
+        # each time and finally crosses 2**59, into Python integers
+        graph = complete_graph(6, F(2))
+        weights = {eid: e.upper for eid, e in enumerate(graph.edges)}
+        lowered = Distances(graph, weights)
+        assert lowered.denom == 1 and lowered.row(0)[0] == 0
+        for eid, den in zip((0, 5, 9, 14), (99991, 99989, 99971, 99961)):
+            weights[eid] = 1 + F(eid + 1, den)
+            lowered.lower(eid, weights[eid])
+        assert lowered.denom == 99991 * 99989 * 99971 * 99961
+        assert lowered.denom * 2 * graph.vertex_count >= 1 << 59
+        assert all(type(d) is int for d in lowered.row(3))
+        fresh = Distances(graph, weights)
+        assert_same_distances(graph, weights, lowered, fresh)
+        task = CoverTask(weights=weights, origin=0, destination=5,
+                         must_visit=frozenset(range(6)))
+        assert (optimal_cover_walk(graph, task, distances=lowered)
+                == optimal_cover_walk(graph, task)
+                == brute_force_cover(graph, task))
+
+    def test_lower_refuses_an_increase(self):
+        g = path_graph([1, 2], intervals=[(1, 2), (1, 3)])
+        dist = Distances(g, {0: F(2), 1: F(2)})
+        dist.lower(0, F(3, 2))
+        with pytest.raises(ValueError):
+            dist.lower(0, F(7, 4))
+        with pytest.raises(ValueError):
+            dist.lower(1, F(0))
+
+    def test_closure_is_a_snapshot(self):
+        g = triangle(1, 1, 3)
+        dist = Distances(g, {0: F(1), 1: F(1), 2: F(3)})
+        closure = dist.closure([0, 2])
+        dist.lower(2, F(1))
+        assert closure.distance(0, 2) == F(2)
+        assert closure.expand(0, 2) == (0, 1, 2)
+        assert dist.closure([0, 2]).expand(0, 2) == (0, 2)
+
+    def test_unreachable_pairs(self):
+        g = EstimateGraph(4, [Edge(0, 1, F(1), F(1)),
+                              Edge(2, 3, F(1), F(1))], 0, 3)
+        w = {0: F(1), 1: F(1)}
+        dists, preds = shortest_paths(g, w, 0)
+        assert dists == {0: F(0), 1: F(1)} and preds == {1: 0}
+        with pytest.raises(ValueError, match="unreachable"):
+            metric_closure(g, w, [0, 3])
+
+    def test_vertex_limit_checked_before_allocating(self):
+        g = EstimateGraph(MAX_VERTICES + 1, [Edge(0, 1, F(1), F(1))], 0, 1)
+        with pytest.raises(ValueError, match=str(MAX_VERTICES)):
+            Distances(g, {0: F(1)})
 
 
 class TestWalk:

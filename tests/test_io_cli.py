@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from boundwalk import Edge, EstimateGraph, random_instance
 from boundwalk.adversaries import FAMILIES
 from boundwalk.cli import main
-from boundwalk.graph import WeightAssignment
+from boundwalk.graph import MAX_VERTICES, WeightAssignment
 from boundwalk.instance_io import (AdversaryConfig, build_from_config,
                                    instance_from_dict, instance_to_dict,
                                    load_run_input, parse_fraction,
@@ -177,6 +178,25 @@ class TestCli:
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err
+
+    def test_vertex_limit_refused_before_building(self, tmp_path, capsys):
+        # a billion vertices would be a billion adjacency lists and, per
+        # episode, an n x n distance matrix: refused before either exists
+        instance = {"n": 10**9, "s": 0, "t": 1, "edges": [
+            {"a": 0, "b": 1, "lower": "1", "upper": "2", "actual": "1"}]}
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(instance), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            for argv in (["validate", str(bad)], ["oracle", str(bad)],
+                         ["run", str(bad), "--explorer", "nn"]):
+                assert main(argv) == 1
+                err = capsys.readouterr().err
+                assert "bad field 'n'" in err and str(MAX_VERTICES) in err
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_exit_code_solver_cap(self, tmp_path, capsys):
         inst = tmp_path / "big.json"

@@ -7,9 +7,11 @@ import pytest
 from boundwalk import alpha_of, random_instance
 from boundwalk.adversaries import FAMILIES
 from boundwalk.cli import main
-from boundwalk.reports import (CSV_COLUMNS, SweepConfig, rows_from_csv,
-                               rows_to_csv, rows_to_json, run_sweep,
-                               write_reports)
+from boundwalk.engine import run_episode
+from boundwalk.explorers import make_explorer
+from boundwalk.reports import (CSV_COLUMNS, MAX_JOBS, SweepConfig,
+                               rows_from_csv, rows_to_csv, rows_to_json,
+                               run_sweep, write_reports)
 
 
 def sweep_config(**overrides):
@@ -145,6 +147,15 @@ class TestSweep:
                      {"k": [True], "alpha": ["2"]}):
             with pytest.raises(ValueError, match="'(k|alpha)'"):
                 sweep_config(grid=grid)
+        # the config's own integers are refused in the same way, and a
+        # worker count must lie in 1..MAX_JOBS (no pool is started here)
+        for field, value in (("seeds", [1.9, True]), ("seeds", [True]),
+                             ("seeds", "12"), ("jobs", 2.5),
+                             ("solver_cap", 12.7), ("jobs", 0),
+                             ("jobs", MAX_JOBS + 1)):
+            with pytest.raises(ValueError, match=f"'{field}'"):
+                sweep_config(**{field: value})
+        assert sweep_config(jobs=MAX_JOBS).jobs == MAX_JOBS
 
     def test_cli_sweep_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
@@ -161,6 +172,24 @@ class TestSweep:
         assert F(adaptive["online_cost"]) == 15 * F(3, 2)
         json_rows = json.loads((tmp_path / "grid_rep.json").read_text())
         assert json_rows == rows
+
+
+@pytest.mark.parametrize("grid, code", [
+    # n = 30 exceeds the exact oracle's cap; grid alpha must be below 2
+    ({"family": "random", "grid": {"n": [6, 30], "alpha": ["2"]}}, 2),
+    ({"family": "grid", "grid": {"m": [4], "alpha": ["2"]}}, 1),
+], ids=["solver-cap", "other-error"])
+def test_cli_sweep_exit_code_names_failed_rows(grid, code, tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({**grid, "explorers": ["precompute"],
+                               "seeds": [0], "out": str(tmp_path / "rep")}),
+                   encoding="utf-8")
+    assert main(["sweep", str(cfg)]) == code
+    assert "1 failed" in capsys.readouterr().out
+    # the reports are written all the same
+    rows = rows_from_csv((tmp_path / "rep.csv").read_text())
+    assert sum(r["offline_kind"].startswith("error:") for r in rows) == 1
+    assert json.loads((tmp_path / "rep.json").read_text()) == rows
 
 
 def sha256(text):
@@ -194,3 +223,31 @@ class TestGoldenBytes:
         assert main(["run", "k8.json", "--explorer", "adaptive"]) == 0
         assert sha256(capsys.readouterr().out) == (
             "1529dd64c8b568e0926d14e724b3777ffebc1dc6787ef91d256f27e5064bdd1d")
+
+    # tie-heavy runs: grids and K_{3,3} are full of equal-cost paths, so
+    # these pin every shortest-path and visit-order tie-break end to end
+    @pytest.mark.parametrize("family,raw,explorer,digest", [
+        ("grid", {"m": 4, "alpha": "3/2"}, "precompute",
+         "62eadba5bbfa67a9cf6aea69d9dfe44d434f931860496127a970f35f11537a14"),
+        ("grid", {"m": 4, "alpha": "3/2"}, "adaptive",
+         "6ed34cf02e438abbb4dfc7796ed9d9e5c7dac365780d4e1cf45028b9bcb3290b"),
+        ("grid", {"m": 4, "alpha": "3/2"}, "nn",
+         "2fc7c7199c1587674925cc058d550e5ef0c8a4b1eca939ab601daf5f555ab644"),
+        ("bipartite", {"n": 3, "alpha": "2"}, "precompute",
+         "6cf665f8edde9c111a7fe14cda549c16b76e2b5f263d7f3aaf3fd92c888b405b"),
+        ("bipartite", {"n": 3, "alpha": "2"}, "adaptive",
+         "6f89e7e5333145081265b04a39411ee0066ccd1bb5135666a343049f0c41c6a2"),
+        ("bipartite", {"n": 3, "alpha": "2"}, "nn",
+         "3a9a3f51c882f2512db87612b77bf42d33adb85ad5fbec4c64a6e86687a04552"),
+        ("grid", {"m": 6, "alpha": "3/2"}, "nn",
+         "d6ddf7ec91d696fc7650fd648444a52031c54a9d11df1b86626a6bc827e3fe97"),
+        ("random", {"n": 40, "alpha": "2"}, "nn",
+         "0aed07fc9ce20e699cfd95687395cb11664a374a3e360ea60ca30ebdb3891ed8"),
+    ])
+    def test_tie_heavy_run_report_bytes(self, family, raw, explorer, digest):
+        spec = FAMILIES[family]
+        graph, source, certificate = spec.build(spec.parse(raw), 0)
+        report = run_episode(graph, source, make_explorer(explorer),
+                             certificate=certificate)
+        text = json.dumps(report.to_json_dict(), indent=1, sort_keys=True)
+        assert sha256(text) == digest

@@ -98,7 +98,8 @@ def test_cap_exceeded_is_loud():
 
 
 def test_oracle_equivalence_random_instances():
-    # n = 10 gives an interior of 8, the smallest the numpy kernel takes
+    # n = 8 and 9 give interiors of 6 and 7, the smallest the numpy kernel
+    # takes (from cached plans); n = 10 an interior of 8
     cases = [(4 + seed % 6, seed) for seed in range(40)]
     cases += [(10, seed) for seed in range(6)]
     for n, seed in cases:
@@ -112,13 +113,14 @@ def test_oracle_equivalence_random_instances():
         assert set(walk.vertices) == set(range(graph.vertex_count))
 
 
-def test_numpy_and_python_kernels_agree():
+def test_numpy_and_python_kernels_agree(monkeypatch):
     # both tables, read through their column accessors, agree on every
     # (non-empty mask, j), unset cells included
     import random
     cases = []
-    for m in range(8, 13):
-        for seed in range(3):
+    # interiors 6..12 run on cached plans, 13 builds its indices as it goes
+    for m in range(solver._NUMPY_MIN_INTERIOR, solver._PLAN_CACHE_MAX + 2):
+        for seed in range(3 if m <= solver._PLAN_CACHE_MAX else 1):
             rng = random.Random(seed)
             r = m + 2
             D = [[0] * r for _ in range(r)]
@@ -141,12 +143,30 @@ def test_numpy_and_python_kernels_agree():
         interior = list(range(1, r - 1))
         py_column = _suffix_table_py(D, r - 1, interior)
         np_column = _suffix_table_np(D, r - 1, interior, dtype)
+        # the same table from uncached one-bit chunks, as large interiors
+        # build it
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_PLAN_CACHE_MAX", 0)
+            patch.setattr(solver, "_GATHER_CELLS", 1)
+            bit_column = _suffix_table_np(D, r - 1, interior, dtype)
         for mask in range(1, 1 << len(interior)):
             assert py_column(mask) == np_column(mask), f"mask {mask:b}"
+            assert py_column(mask) == bit_column(mask), f"mask {mask:b}"
     # and the solve picks int64 for the K_10 case, where int32 would wrap
     walk, cost = optimal_cover_walk(g, task)
     bwalk, bcost = brute_force_cover(g, task)
     assert (walk.vertices, cost) == (bwalk.vertices, bcost)
+
+
+def test_cached_plans_stay_small():
+    # every cached plan together, arrays only
+    total = 0
+    for m in range(solver._NUMPY_MIN_INTERIOR, solver._PLAN_CACHE_MAX + 1):
+        masks, plan = solver._cached_plan(m)
+        total += sum(a.nbytes for a in masks)
+        total += sum(sources.nbytes + targets.nbytes for chunks in plan
+                     for _, sources, targets in chunks)
+    assert total < 1 << 19
 
 
 def test_large_denominators_take_python_kernel(monkeypatch):
