@@ -15,8 +15,9 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .engine import FixedAssignment, WeightSource, run_episode
-from .graph import (Edge, EstimateGraph, Walk, WeightAssignment, alpha_of,
-                    shortest_paths, validate, walk_of_vertices)
+from .graph import (MAX_VERTICES, Edge, EstimateGraph, Walk,
+                    WeightAssignment, alpha_of, shortest_paths, validate,
+                    walk_of_vertices)
 from .solver import DEFAULT_EXACT_CAP
 
 
@@ -535,19 +536,30 @@ def random_instance(n: int, *, density: float = 0.5, law: str = "mixed",
         raise InvalidSpec(f"unknown interval law {law!r}")
     rng = random.Random(seed)
     pairs = {(rng.randrange(v), v) for v in range(1, n)}
-    rest = sorted({(a, b) for a in range(n) for b in range(a + 1, n)} - pairs)
+    rest = [(a, b) for a in range(n) for b in range(a + 1, n)
+            if (a, b) not in pairs]  # in sorted order
     extra = round(density * len(rest))
     pairs |= set(rng.sample(rest, extra)) if extra else set()
+    # each value is one Fraction over a common denominator, for alpha = p/q:
+    # lo = x/4, hi = lo (1 + (alpha - 1) y/4) = x (4q + (p - q) y) / 16q and
+    # w = lo + (hi - lo) c/4 = (4q x (4 - c) + hi_num c) / 64q
+    p, q = alpha.numerator, alpha.denominator
+    one = Fraction(1)
     edges: list[Edge] = []
     weights: dict[int, Fraction] = {}
     for eid, (a, b) in enumerate(sorted(pairs)):
         if law == "uniform":
-            lo, hi = Fraction(1), alpha
+            lo, hi = one, alpha
+            c = rng.randint(0, 4)
+            w = Fraction(4 * q + (p - q) * c, 4 * q)
         else:
-            lo = Fraction(rng.randint(2, 16), 4)
-            hi = lo * (1 + (alpha - 1) * Fraction(rng.randint(0, 4), 4))
+            x = rng.randint(2, 16)
+            hi_num = x * (4 * q + (p - q) * rng.randint(0, 4))
+            lo, hi = Fraction(x, 4), Fraction(hi_num, 16 * q)
+            c = rng.randint(0, 4)
+            w = Fraction(4 * q * x * (4 - c) + hi_num * c, 64 * q)
         edges.append(Edge(a, b, lo, hi))
-        weights[eid] = lo + (hi - lo) * Fraction(rng.randint(0, 4), 4)
+        weights[eid] = w
     s = rng.randrange(n)
     t = rng.choice([v for v in range(n) if v != s])
     graph = EstimateGraph(n, edges, s, t)
@@ -661,22 +673,39 @@ def _random(p: dict, seed: int, verify_adaptive: bool = False) -> Instance:
     return Instance(graph, FixedAssignment(assignment), None)
 
 
+# Vertex counts `build` would make from typed parameters, for the limit
+# check.  Values the builders refuse themselves (k < 2, m < 4, ...) only
+# have to pass it: with k < 2 the recursive count would never grow.
+
+def _recursive_vertices(p: dict) -> int:
+    if p["k"] < 2:
+        return 0
+    # for k >= 2 the count starts at 3 and more than doubles each level, so
+    # past depth d = MAX_VERTICES.bit_length() it exceeds 2^d > MAX_VERTICES:
+    # the comparison stays exact and a huge depth never loops
+    return recursive_vertex_count(p["k"],
+                                  min(p["depth"], MAX_VERTICES.bit_length()))
+
+
 @dataclass(frozen=True)
 class Family:
     """One family: its parameter names, typed by `parse`; whether it is
     `adaptive` (its weights react to the explorer, so `generate` writes a
     config stub naming it instead of an instance file); `build(params,
     seed)`, where `verify_adaptive=True` adds the grid trap's replanning
-    self-check; and `bound(explorer, alpha, params)`."""
+    self-check; `vertices(params)`, the vertex count it builds; and
+    `bound(explorer, alpha, params)`."""
 
     params: tuple[str, ...]
     adaptive: bool
     build: Callable[..., Instance]
+    vertices: Callable[[dict], int]
     bound: Callable[[str, Fraction, dict], tuple] = _ratio_bound
 
     def parse(self, raw: Mapping) -> dict:
         """Typed parameters from JSON or command-line values; ValueError
-        names a missing or malformed one."""
+        names a missing or malformed one, or the integer parameters whose
+        instance would exceed `MAX_VERTICES` (checked before building)."""
         raw = {**_DEFAULTS, **raw}
         parsed = {}
         for name in self.params:
@@ -686,14 +715,25 @@ class Family:
                 parsed[name] = _PARSERS[name](raw[name])
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"parameter {name!r}: {exc}") from exc
+        if self.vertices(parsed) > MAX_VERTICES:
+            sizes = [p for p in self.params if _PARSERS[p] is parse_int]
+            raise ValueError(
+                f"parameter{'s' * (len(sizes) > 1)} "
+                f"{', '.join(map(repr, sizes))}: "
+                f"{', '.join(str(parsed[p]) for p in sizes)} would build "
+                f"more than {MAX_VERTICES} vertices")
         return parsed
 
 
 FAMILIES: dict[str, Family] = {
     "recursive": Family(("k", "depth", "alpha"), True, _recursive,
-                        _recursive_bound),
-    "complete": Family(("k", "alpha"), True, _complete, _half_split_bound),
-    "bipartite": Family(("n", "alpha"), True, _bipartite, _half_split_bound),
-    "grid": Family(("m", "alpha"), False, _grid),
-    "random": Family(("n", "alpha", "density", "law"), False, _random),
+                        _recursive_vertices, _recursive_bound),
+    "complete": Family(("k", "alpha"), True, _complete,
+                       lambda p: 2 * p["k"], _half_split_bound),
+    "bipartite": Family(("n", "alpha"), True, _bipartite,
+                        lambda p: 2 * p["n"], _half_split_bound),
+    "grid": Family(("m", "alpha"), False, _grid,
+                   lambda p: max(p["m"], 0) ** 2),
+    "random": Family(("n", "alpha", "density", "law"), False, _random,
+                     lambda p: p["n"]),
 }

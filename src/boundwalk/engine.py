@@ -248,18 +248,45 @@ def realized_assignment(graph: EstimateGraph, view: KnowledgeView,
     return WeightAssignment(weights)
 
 
+def _offline_key(graph: EstimateGraph, weights: Mapping[int, Fraction]
+                 ) -> tuple[Fraction, ...]:
+    return tuple(weights[eid] for eid in range(len(graph.edges)))
+
+
+def _exact_offline(graph: EstimateGraph, task: CoverTask, cap: int,
+                   memo: dict | None) -> Fraction:
+    """The exact offline cost, through `memo` when given (see
+    `run_episode`); raises SolverCapExceeded beyond the cap."""
+    if memo is None or len(task.required_vertices()) > cap:
+        # beyond the cap the solver raises before any work: no key needed
+        return optimal_cover_walk(graph, task, cap=cap)[1]
+    key = _offline_key(graph, task.weights)
+    if key not in memo:
+        memo[key] = optimal_cover_walk(graph, task, cap=cap)[1]
+    return memo[key]
+
+
 def run_episode(graph: EstimateGraph, source: WeightSource, explorer: Explorer,
                 *, oracle_cap: int = DEFAULT_EXACT_CAP,
                 certificate: Callable[[WeightAssignment, Sequence[int]], Walk]
                 | Walk | None = None,
                 instance: dict | None = None,
-                step_cap: int | None = None) -> RunReport:
+                step_cap: int | None = None,
+                offline_memo: dict | None = None) -> RunReport:
     """Run one episode to completion and attach the offline comparison.
 
     The offline optimum is computed exactly when the instance fits the
     oracle cap.  Otherwise the best available feasible walk (the provided
     certificate and the agent's own realized walk) bounds it from above and
     the reported ratio is flagged as a lower bound on the true ratio.
+
+    `offline_memo`, when given, maps realized weights (in edge-id order) to
+    the exact offline cost on this same graph: a hit skips the solve, and
+    each exact solve is stored.  Episodes of several explorers on one built
+    instance, with one oracle cap, can share it.  Only exact costs are
+    stored, since the fallback above depends on each episode's own walk,
+    and no key is built for a task with more required vertices than the
+    cap.
     """
     n = graph.vertex_count
     cap = step_cap if step_cap is not None else 10 * n * n
@@ -277,7 +304,7 @@ def run_episode(graph: EstimateGraph, source: WeightSource, explorer: Explorer,
                      destination=graph.end,
                      must_visit=frozenset(range(n)))
     try:
-        _, offline = optimal_cover_walk(graph, task, cap=oracle_cap)
+        offline = _exact_offline(graph, task, oracle_cap, offline_memo)
         kind = "exact"
         lower_bound = False
     except SolverCapExceeded:

@@ -12,6 +12,18 @@ ratio-type bound means "no violation witnessed".  A row whose episode
 raises keeps its parameters and records `error:<Type>: <message>` as its
 offline kind.
 
+The unit of work, in one process or across `jobs` worker processes, is
+one (grid point, seed) task: it builds its instance and takes `alpha_of`
+once, then runs every explorer on it.  Only when there are fewer tasks
+than jobs is each task split by explorer, into as many groups as fill the
+workers, so that a small grid keeps the pool busy; each group is then a
+task of its own.  The explorers of a task share a memo from realized
+weights to exact offline cost, which ends with the task, so an assignment
+two of them both realize is solved once.  Sharing is exact: a built graph
+is immutable and every weight source is a pure function of the visit
+sequence.  Costs beyond the solver cap are not shared, since they depend
+on each row's own walk.
+
 CSV and JSON emissions carry identical string-valued rows; rows are sorted
 before emission so identical configs produce identical bytes.
 """
@@ -99,29 +111,42 @@ def _grid_points(config: SweepConfig) -> list[dict]:
     return [dict(zip(keys, combo)) for combo in itertools.product(*values)]
 
 
-def _run_point(args: tuple) -> dict:
-    config, params, explorer_name, seed = args
+def _run_task(args: tuple) -> list[dict]:
+    """The rows of one (grid point, seed) pair, one per given explorer,
+    from one build and one offline memo (see the module docstring)."""
+    config, params, seed, explorers = args
     family = FAMILIES[config.family]
-    row = {c: "" for c in CSV_COLUMNS}
-    row["family"] = config.family
-    row["explorer"] = explorer_name
-    row["seed"] = str(seed)
+    base = {c: "" for c in CSV_COLUMNS}
+    base["family"] = config.family
+    base["seed"] = str(seed)
     for key in ("k", "depth", "alpha", "m", "n"):
         if key in params:
-            row[key] = str(params[key])
+            base[key] = str(params[key])
     parsed = family.parse(params)
     try:
         graph, source, certificate = family.build(parsed, seed)
-        if "n" not in params:
-            row["n"] = str(graph.vertex_count)
-        report = run_episode(graph, source,
-                             make_explorer(explorer_name,
-                                           cap=config.solver_cap),
-                             oracle_cap=config.solver_cap,
-                             certificate=certificate)
         # the bound of the instance as built: builders may clamp alpha
-        bound, kind = family.bound(explorer_name, alpha_of(graph).alpha,
-                                   parsed)
+        alpha = alpha_of(graph).alpha
+    except Exception as exc:  # noqa: BLE001 - partial failures become rows
+        return [{**base, "explorer": name, "offline_kind": _error_kind(exc)}
+                for name in explorers]
+    if "n" not in params:
+        base["n"] = str(graph.vertex_count)
+    offline_memo: dict = {}
+    rows = []
+    for name in explorers:
+        row = {**base, "explorer": name}
+        rows.append(row)
+        try:
+            report = run_episode(graph, source,
+                                 make_explorer(name, cap=config.solver_cap),
+                                 oracle_cap=config.solver_cap,
+                                 certificate=certificate,
+                                 offline_memo=offline_memo)
+            bound, kind = family.bound(name, alpha, parsed)
+        except Exception as exc:  # noqa: BLE001 - partial failures become rows
+            row["offline_kind"] = _error_kind(exc)
+            continue
         row["online_cost"] = str(report.online_cost)
         row["offline_cost"] = str(report.offline_cost)
         row["offline_kind"] = report.offline_kind
@@ -134,22 +159,30 @@ def _run_point(args: tuple) -> dict:
             else:
                 ok = report.ratio <= bound
             row["bound_satisfied"] = "true" if ok else "false"
-    except Exception as exc:  # noqa: BLE001 - partial failures become rows
-        row["offline_kind"] = f"error:{type(exc).__name__}: {exc}"
-    return row
+    return rows
+
+
+def _error_kind(exc: Exception) -> str:
+    return f"error:{type(exc).__name__}: {exc}"
 
 
 def run_sweep(config: SweepConfig) -> list[dict]:
-    """One row per (grid point x explorer x seed), sorted for determinism."""
-    work = [(config, params, explorer, seed)
-            for params in _grid_points(config)
-            for explorer in config.explorers
-            for seed in config.seeds]
+    """One row per (grid point x explorer x seed), sorted for determinism;
+    one task, run in a worker process when jobs > 1, per (grid point x
+    seed), or per explorer group of one when there are fewer of those than
+    jobs (see the module docstring)."""
+    points = [(params, seed) for params in _grid_points(config)
+              for seed in config.seeds]
+    groups = min(len(config.explorers),
+                 -(-config.jobs // max(len(points), 1)))
+    work = [(config, params, seed, config.explorers[i::groups])
+            for params, seed in points for i in range(groups)]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_run_point, work))
+            tasks = list(pool.map(_run_task, work))
     else:
-        rows = [_run_point(w) for w in work]
+        tasks = [_run_task(w) for w in work]
+    rows = [row for task in tasks for row in task]
     rows.sort(key=lambda r: tuple(r[c] for c in CSV_COLUMNS))
     return rows
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +13,9 @@ from boundwalk import (CompleteAdvSpec, GridSpec, InvalidSpec, RecursiveSpec,
                        recursive_certificate_cost, recursive_online_lower_bound,
                        recursive_vertex_count, run_episode, start_episode,
                        validate, walk_violations)
+from boundwalk.adversaries import FAMILIES
 from boundwalk.engine import FixedAssignment
+from boundwalk.graph import MAX_VERTICES
 from boundwalk.instance_io import instance_to_dict
 
 
@@ -217,8 +221,54 @@ class TestRandomInstances:
             for eid, e in enumerate(graph.edges):
                 assert e.lower <= assignment.weight(eid) <= e.upper
 
+    def test_instance_bytes_pinned(self):
+        # bounds, actuals, edges and ends of 432 instances, pinned by one
+        # sha256 recorded before the bounds and actuals were built over a
+        # common denominator; the values do not depend on density, which
+        # is kept low for large n only to keep the test short
+        digest = hashlib.sha256()
+        for law in ("uniform", "mixed"):
+            for n in (2, 3, 8, 30, 60, 200):
+                for alpha in ("1", "5/4", "3/2", "2", "199/100", "7/3"):
+                    for seed in range(6):
+                        data = instance_to_dict(*random_instance(
+                            n, density=0.5 if n <= 30 else 0.02, law=law,
+                            alpha=F(alpha), seed=seed))
+                        digest.update(json.dumps(data, sort_keys=True)
+                                      .encode("utf-8"))
+        assert digest.hexdigest() == (
+            "15bc1c4b40c4336b2b03e8bc32007c5a19f6397ad4c602b456222434289d7d75")
+
     def test_bad_parameters_rejected(self):
         with pytest.raises(InvalidSpec):
             random_instance(1, seed=0)
         with pytest.raises(InvalidSpec):
             random_instance(5, law="gaussian", seed=0)
+
+
+class TestFamilyVertexLimit:
+    # nothing here is built: parse checks the count the builder would make
+    @pytest.mark.parametrize("family, largest, smallest_over", [
+        ("random", {"n": 1024}, {"n": 1025}),
+        ("bipartite", {"n": 512}, {"n": 513}),
+        ("complete", {"k": 512}, {"k": 513}),
+        ("grid", {"m": 32}, {"m": 33}),
+        ("recursive", {"k": 2, "depth": 7}, {"k": 2, "depth": 8}),
+        ("recursive", {"k": 31, "depth": 1}, {"k": 32, "depth": 1}),
+    ])
+    def test_limit_is_the_built_vertex_count(self, family, largest,
+                                             smallest_over):
+        spec = FAMILIES[family]
+        assert spec.vertices(spec.parse(largest)) <= MAX_VERTICES
+        with pytest.raises(ValueError, match=str(MAX_VERTICES)):
+            spec.parse(smallest_over)
+
+    def test_recursive_huge_depth_never_loops(self):
+        assert recursive_vertex_count(2, 8) == 1278
+        spec = FAMILIES["recursive"]
+        for k in (2, 3, 10**18):
+            with pytest.raises(ValueError, match=str(MAX_VERTICES)):
+                spec.parse({"k": k, "depth": 10**18})
+        # values the builder refuses count as no vertices, and never loop
+        for k in (-1, 0, 1):
+            assert spec.parse({"k": k, "depth": 10**18})

@@ -5,8 +5,8 @@ import pytest
 from boundwalk import (AdversaryFault, Edge, EstimateGraph, FixedAssignment,
                        IllegalMove, Nontermination, build_complete_adversary,
                        complete_graph, CompleteAdvSpec, make_explorer, move,
-                       random_instance, realized_assignment, run_episode,
-                       start_episode)
+                       random_instance, random_uniform_assignment,
+                       realized_assignment, run_episode, start_episode)
 from boundwalk import engine
 from boundwalk.engine import EngineError, Explorer, WeightSource
 from boundwalk.graph import WeightAssignment
@@ -182,6 +182,47 @@ class TestRunEpisode:
         assert rep.ratio_is_lower_bound
         # the agent's own walk bounds the optimum, so the ratio is >= 1
         assert rep.ratio >= F(1) or rep.offline_cost <= rep.online_cost
+
+    def test_offline_memo_keys_on_realized_weights(self, monkeypatch):
+        graph, first = random_instance(7, density=0.6, seed=11)
+        second = random_uniform_assignment(graph, seed=5)
+        fresh = [run_episode(graph, FixedAssignment(a), make_explorer("nn"))
+                 for a in (first, second)]
+        assert fresh[0].offline_cost != fresh[1].offline_cost
+        solves = []
+        solve = engine.optimal_cover_walk
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "optimal_cover_walk", counting)
+        memo = {}
+        for i in (0, 1, 0, 1):
+            rep = run_episode(graph, FixedAssignment((first, second)[i]),
+                              make_explorer("nn"), offline_memo=memo)
+            assert rep == fresh[i]
+        assert len(solves) == len(memo) == 2
+        # a cost beyond the cap depends on the walk, so it is not stored,
+        # and no key is built for it
+        keys = []
+        key = engine._offline_key
+
+        def counting_key(*args):
+            keys.append(1)
+            return key(*args)
+
+        assignments = (first, second, first)
+        fresh = [run_episode(graph, FixedAssignment(a), make_explorer("nn"),
+                             oracle_cap=5) for a in assignments]
+        monkeypatch.setattr(engine, "_offline_key", counting_key)
+        solves.clear()
+        memo = {}
+        for a, ref in zip(assignments, fresh):
+            rep = run_episode(graph, FixedAssignment(a), make_explorer("nn"),
+                              oracle_cap=5, offline_memo=memo)
+            assert rep == ref and rep.offline_kind == "certificate"
+        assert keys == [] and memo == {} and len(solves) == 3
 
     def test_report_serialization(self):
         g, src = p3()

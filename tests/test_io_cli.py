@@ -198,6 +198,39 @@ class TestCli:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("argv, names", [
+        (["random", "--n", "1500", "--density", "0.002"], "parameter 'n'"),
+        (["bipartite", "--n", "513"], "parameter 'n'"),
+        (["complete", "--k", "513"], "parameter 'k'"),
+        (["grid", "--m", "33", "--alpha", "3/2"], "parameter 'm'"),
+        (["recursive", "--k", "2", "--depth", "8"],
+         "parameters 'k', 'depth'"),
+        # the count never loops over a huge depth
+        (["recursive", "--k", "2", "--depth", str(10**18)],
+         "parameters 'k', 'depth'"),
+    ], ids=["random", "bipartite", "complete", "grid", "recursive",
+            "recursive-huge-depth"])
+    def test_family_vertex_limit_refused_before_building(self, argv, names,
+                                                         tmp_path, capsys):
+        out = tmp_path / "big.json"
+        tracemalloc.start()
+        try:
+            assert main(["generate", *argv, "--out", str(out)]) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert names in err and str(MAX_VERTICES) in err
+        assert not out.exists()
+        assert peak < 1 << 20
+
+    def test_family_vertex_limit_in_adversary_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "complete", "k": 513,
+                                   "alpha": "2"}), encoding="utf-8")
+        assert main(["run", str(cfg), "--explorer", "nn"]) == 1
+        assert "parameter 'k'" in capsys.readouterr().err
+
     def test_exit_code_solver_cap(self, tmp_path, capsys):
         inst = tmp_path / "big.json"
         assert main(["generate", "random", "--n", "12", "--seed", "1",

@@ -1,10 +1,11 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from boundwalk import alpha_of, random_instance
+from boundwalk import alpha_of, engine, random_instance, reports
 from boundwalk.adversaries import FAMILIES
 from boundwalk.cli import main
 from boundwalk.engine import run_episode
@@ -144,7 +145,9 @@ class TestSweep:
                      {"k": [[3]], "alpha": ["2"]},
                      {"k": [3], "alpha": ["1/0"]},
                      {"k": [3.7], "alpha": ["2"]},
-                     {"k": [True], "alpha": ["2"]}):
+                     {"k": [True], "alpha": ["2"]},
+                     # K_1026 is over the vertex limit; nothing is built
+                     {"k": [3, 513], "alpha": ["2"]}):
             with pytest.raises(ValueError, match="'(k|alpha)'"):
                 sweep_config(grid=grid)
         # the config's own integers are refused in the same way, and a
@@ -172,6 +175,154 @@ class TestSweep:
         assert F(adaptive["online_cost"]) == 15 * F(3, 2)
         json_rows = json.loads((tmp_path / "grid_rep.json").read_text())
         assert json_rows == rows
+
+
+ALL3 = ["precompute", "adaptive", "nn"]
+
+# small grids of every family; grid m = 5 is beyond the solver cap, so its
+# precompute and adaptive rows fail and its nn row takes the certificate
+PARITY_CASES = {
+    "recursive": ({"k": [2], "depth": [1], "alpha": ["3/2", "2"]}, [0]),
+    "complete": ({"k": [3], "alpha": ["3/2", "3"]}, [0]),
+    "bipartite": ({"n": [3], "alpha": ["2"]}, [0, 1]),
+    "grid": ({"m": [4, 5], "alpha": ["3/2"]}, [0]),
+    "random": ({"n": [7], "alpha": ["2"], "law": ["mixed", "uniform"]},
+               [0, 1]),
+}
+
+
+def reference_row(family_name, params, explorer, seed):
+    """One row from its own fresh build and one `run_episode` call."""
+    family = FAMILIES[family_name]
+    row = {c: "" for c in CSV_COLUMNS}
+    row.update(family=family_name, explorer=explorer, seed=str(seed))
+    row.update({k: str(v) for k, v in params.items() if k in CSV_COLUMNS})
+    parsed = family.parse(params)
+    try:
+        graph, source, certificate = family.build(parsed, seed)
+        if "n" not in params:
+            row["n"] = str(graph.vertex_count)
+        report = run_episode(graph, source, make_explorer(explorer),
+                             certificate=certificate)
+        bound, kind = family.bound(explorer, alpha_of(graph).alpha, parsed)
+    except Exception as exc:  # noqa: BLE001 - the row records it
+        row["offline_kind"] = f"error:{type(exc).__name__}: {exc}"
+        return row
+    row.update(online_cost=str(report.online_cost),
+               offline_cost=str(report.offline_cost),
+               offline_kind=report.offline_kind, ratio=str(report.ratio),
+               ratio_decimal=f"{float(report.ratio):.6f}")
+    if bound is not None:
+        ok = (report.online_cost >= bound if kind == "online_min"
+              else report.ratio <= bound)
+        row.update(theoretical_bound=str(bound),
+                   bound_satisfied="true" if ok else "false")
+    return row
+
+
+class TestSweepTasks:
+    """A sweep task is one (grid point, seed): one build, one alpha, and
+    one exact offline solve per distinct realized assignment."""
+
+    # at jobs = 4 every family but random has fewer tasks than jobs, so
+    # each task's explorers are split into groups
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    @pytest.mark.parametrize("family", sorted(PARITY_CASES))
+    def test_rows_match_a_fresh_build_per_row(self, family, jobs):
+        grid, seeds = PARITY_CASES[family]
+        config = sweep_config(family=family, grid=grid, explorers=ALL3,
+                              seeds=seeds, jobs=jobs)
+        expected = [reference_row(family, params, explorer, seed)
+                    for params in (dict(zip(sorted(grid), combo))
+                                   for combo in itertools.product(
+                                       *(grid[k] for k in sorted(grid))))
+                    for explorer in ALL3 for seed in seeds]
+        expected.sort(key=lambda r: tuple(r[c] for c in CSV_COLUMNS))
+        assert run_sweep(config) == expected
+
+    @pytest.mark.parametrize("family, grid, distinct", [
+        ("grid", {"m": [4], "alpha": ["3/2"]}, 1),
+        ("random", {"n": [7], "alpha": ["2"]}, 1),
+        # the half-split adversary's weights follow each explorer's walk
+        ("complete", {"k": [3], "alpha": ["2"]}, None),
+    ])
+    def test_one_offline_solve_per_distinct_assignment(
+            self, family, grid, distinct, monkeypatch):
+        calls = []
+        solve = engine.optimal_cover_walk
+
+        def counting(graph, task, **kwargs):
+            calls.append(tuple(task.weights[eid]
+                               for eid in range(len(graph.edges))))
+            return solve(graph, task, **kwargs)
+
+        monkeypatch.setattr(engine, "optimal_cover_walk", counting)
+        params = {k: v[0] for k, v in grid.items()}
+        for explorer in ALL3:  # one solve per episode without a memo
+            reference_row(family, params, explorer, 0)
+        assignments = set(calls)
+        assert len(calls) == 3
+        if distinct is not None:
+            assert len(assignments) == distinct
+        calls.clear()
+        rows = run_sweep(sweep_config(family=family, grid=grid,
+                                      explorers=ALL3))
+        assert sorted(calls) == sorted(assignments)
+        assert all(r["offline_kind"] == "exact" for r in rows)
+
+    @pytest.mark.parametrize("points, jobs, units", [
+        (["3/2", "2"], 2, [ALL3] * 2),
+        (["3/2", "2"], 3, [["precompute", "nn"], ["adaptive"]] * 2),
+        (["2"], 2, [["precompute", "nn"], ["adaptive"]]),
+        (["2"], 64, [["precompute"], ["adaptive"], ["nn"]]),
+    ])
+    def test_explorers_split_only_when_tasks_are_fewer_than_jobs(
+            self, points, jobs, units, monkeypatch):
+        work = []
+
+        class InProcessPool:  # records what a worker pool would be given
+            def __init__(self, max_workers):
+                assert max_workers == jobs
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                work.extend(args)
+                return map(fn, work)
+
+        monkeypatch.setattr(reports, "ProcessPoolExecutor", InProcessPool)
+        config = sweep_config(family="complete",
+                              grid={"k": [3], "alpha": points},
+                              explorers=ALL3, jobs=jobs)
+        rows = run_sweep(config)
+        assert [list(w[3]) for w in work] == units
+        assert rows == run_sweep(sweep_config(
+            family="complete", grid={"k": [3], "alpha": points},
+            explorers=ALL3, jobs=1))
+
+    def test_a_failed_row_leaves_the_others_of_its_task(self):
+        rows = run_sweep(sweep_config(
+            family="random", grid={"n": [30], "alpha": ["2"]},
+            explorers=["precompute", "nn"]))
+        by_explorer = {r["explorer"]: r for r in rows}
+        assert by_explorer["precompute"]["offline_kind"].startswith(
+            "error:SolverCapExceeded: ")
+        nn = by_explorer["nn"]
+        assert nn["offline_kind"] == "certificate" and nn["n"] == "30"
+        assert F(nn["online_cost"]) == F(nn["offline_cost"]) > 0
+
+    def test_a_failed_build_fails_every_row_of_its_task(self):
+        # the grid trap needs alpha < 2: only that point's rows fail
+        rows = run_sweep(sweep_config(
+            family="grid", grid={"m": [4], "alpha": ["3/2", "2"]},
+            explorers=ALL3))
+        failed = [r for r in rows if r["offline_kind"].startswith("error:")]
+        assert {r["alpha"] for r in failed} == {"2"} and len(failed) == 3
+        assert all(r["n"] == "" for r in failed)
 
 
 @pytest.mark.parametrize("grid, code", [
