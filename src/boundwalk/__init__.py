@@ -1,13 +1,13 @@
 """Simulator and competitive-analysis harness for online graph exploration
 with interval-estimated edge weights."""
 
-from .graph import (AlphaProfile, Distances, Edge, EstimateGraph,
-                    MetricClosure, Walk, WeightAssignment, alpha_of,
-                    metric_closure, shortest_paths, validate,
-                    walk_of_vertices, walk_violations)
+from .graph import (AlphaProfile, Distances, Edge, EstimateGraph, Walk,
+                    WeightAssignment, alpha_of, validate, walk_of_vertices,
+                    walk_violations)
 from .solver import (BRUTE_FORCE_CAP, CoverTask, DEFAULT_EXACT_CAP,
-                     SolverCapExceeded, brute_force_cover, optimal_cover_walk,
-                     pessimistic_weights, worst_case_cover_walk)
+                     MAX_EXACT_CAP, SolverCapExceeded, brute_force_cover,
+                     optimal_cover_walk, pessimistic_weights,
+                     worst_case_cover_walk)
 from .engine import (AdversaryFault, FixedAssignment, IllegalMove,
                      KnowledgeView, Move, Nontermination, Reveal, RunReport,
                      WeightSource, move, realized_assignment, run_episode,

@@ -15,9 +15,8 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .engine import FixedAssignment, WeightSource, run_episode
-from .graph import (MAX_VERTICES, Edge, EstimateGraph, Walk,
-                    WeightAssignment, alpha_of, shortest_paths, validate,
-                    walk_of_vertices)
+from .graph import (MAX_VERTICES, Distances, Edge, EstimateGraph, Walk,
+                    WeightAssignment, alpha_of, validate, walk_of_vertices)
 from .solver import DEFAULT_EXACT_CAP
 
 
@@ -506,11 +505,8 @@ def _grid_certificate(graph: EstimateGraph, assignment: WeightAssignment,
         vertices.extend(_grid_id(m, row, c) for c in cols)
     end = graph.end
     if vertices[-1] != end:
-        dists, preds = shortest_paths(graph, assignment.weights, vertices[-1])
-        tail = [end]
-        while tail[-1] != vertices[-1]:
-            tail.append(preds[tail[-1]])
-        vertices.extend(reversed(tail[:-1]))
+        tail = Distances(graph, assignment.weights).path(vertices[-1], end)
+        vertices.extend(tail[1:])
     return walk_of_vertices(graph, vertices, assignment.weights)
 
 
@@ -602,9 +598,25 @@ def parse_int(value: int | str) -> int:
     return int(value)
 
 
+def _parse_density(value: float | int | str) -> float:
+    """A finite number in [0, 1]; booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    density = float(value)
+    if not 0 <= density <= 1:  # NaN fails this too
+        raise ValueError(f"{value!r} is not a number in [0, 1]")
+    return density
+
+
+def _parse_law(value: str) -> str:
+    if value not in ("uniform", "mixed"):
+        raise ValueError(f"expected 'uniform' or 'mixed', got {value!r}")
+    return value
+
+
 _PARSERS = {"k": parse_int, "depth": parse_int, "m": parse_int,
-            "n": parse_int, "alpha": parse_fraction, "density": float,
-            "law": str}
+            "n": parse_int, "alpha": parse_fraction,
+            "density": _parse_density, "law": _parse_law}
 _DEFAULTS = {"alpha": Fraction(2), "density": 0.5, "law": "mixed"}
 
 
@@ -713,7 +725,8 @@ class Family:
                 raise ValueError(f"missing parameter {name!r}")
             try:
                 parsed[name] = _PARSERS[name](raw[name])
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
+            except (TypeError, ValueError, ZeroDivisionError,
+                    OverflowError) as exc:
                 raise ValueError(f"parameter {name!r}: {exc}") from exc
         if self.vertices(parsed) > MAX_VERTICES:
             sizes = [p for p in self.params if _PARSERS[p] is parse_int]

@@ -136,10 +136,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if args.jobs is not None:
-        data["jobs"] = args.jobs
-    if args.out is not None:
-        data["out"] = args.out
+    if isinstance(data, dict):  # from_dict refuses any other shape
+        if args.jobs is not None:
+            data["jobs"] = args.jobs
+        if args.out is not None:
+            data["out"] = args.out
     config = SweepConfig.from_dict(data)
     rows = run_sweep(config)
     csv_path, json_path = write_reports(rows, config.out,

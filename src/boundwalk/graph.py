@@ -14,24 +14,23 @@ and rescales it when a weight brings a new denominator.  A path from u is
 rebuilt from u's distance row alone: each vertex x != u is entered from
 pred(x) = min{y in N(x) : d(u, y) + w(y, x) = d(u, x)}, the smallest
 optimal predecessor, which is the one a Dijkstra that keeps the smaller
-vertex id on ties settles on.  `metric_closure` and `shortest_paths` are
-one-off `Distances` queries.
+vertex id on ties settles on.  `among` gives the distances between a
+vertex subset, the metric closure the offline solver works on.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from math import lcm
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 # an instance holds an n x n distance matrix per episode: 8 MiB in int64
 MAX_VERTICES = 1024
-# int64 distances stay below n * max scaled weight < 2**59; 2**60 marks an
-# unreached pair during Floyd-Warshall, and two such plus a weight fit
+# int64 distances stay below n * max scaled weight < 2**59, so two of
+# them plus a weight fit
 _INT64_SPAN = 1 << 59
-_FAR = 1 << 60
 
 
 class Edge(NamedTuple):
@@ -200,74 +199,17 @@ def scale_to_integers(graph: EstimateGraph,
     return denom, [w.numerator * (denom // w.denominator) for w in ws]
 
 
-def _predecessor(graph: EstimateGraph, scaled: Sequence[int],
-                 row: Sequence[int], x: int) -> int:
-    """Smallest neighbour y of x with row[y] + w(y, x) == row[x]: the
-    vertex a shortest path from the row's source enters x from.  With
-    positive weights every such y lies strictly closer to the source, so
-    this is the predecessor Dijkstra settles on when ties keep the smaller
-    vertex id."""
-    dx = row[x]
-    for y, eid in graph.neighbors(x):
-        if row[y] + scaled[eid] == dx:
-            return y
-    raise AssertionError(f"no optimal predecessor of vertex {x}")
-
-
-def _trace_path(graph: EstimateGraph, scaled: Sequence[int],
-                row: Sequence[int], u: int, v: int) -> list[int]:
-    """The u-v shortest path of smallest predecessors, from u's row."""
-    if row[v] == inf:
-        raise ValueError(f"vertex {v} unreachable from {u}")
-    path = [v]
-    while path[-1] != u:
-        path.append(_predecessor(graph, scaled, row, path[-1]))
-    path.reverse()
-    return path
-
-
-class MetricClosure:
-    """All-pairs shortest distances over a required vertex set.
-
-    Distances are integers over one common denominator: `matrix[i][j]` is
-    `denom` times the distance from `vertices[i]` to `vertices[j]`.
-    `expand(u, v)` recovers the underlying shortest path in the original
-    graph, so closure-level solutions can be turned back into real walks.
-    The closure is a snapshot: lowering the `Distances` it came from
-    afterwards changes neither its entries nor its paths.
-    """
-
-    def __init__(self, vertices: tuple[int, ...], denom: int,
-                 matrix: list[list[int]], graph: EstimateGraph,
-                 scaled: list[int], rows: list[list[int]]):
-        self.vertices = vertices
-        self.denom = denom
-        self.matrix = matrix
-        self._graph = graph
-        self._scaled = scaled
-        self._rows = rows
-        self._index = {v: i for i, v in enumerate(vertices)}
-
-    def distance(self, u: int, v: int) -> Fraction:
-        return Fraction(self.matrix[self._index[u]][self._index[v]],
-                        self.denom)
-
-    def expand(self, u: int, v: int) -> tuple[int, ...]:
-        return tuple(_trace_path(self._graph, self._scaled,
-                                 self._rows[self._index[u]], u, v))
-
-
 class Distances:
-    """Exact all-pairs shortest distances of one graph under weights that
-    only ever decrease, as an n x n integer matrix over one denominator.
+    """Exact all-pairs shortest distances of one connected graph under
+    weights that only ever decrease, as an n x n integer matrix over one
+    denominator.
 
     Built by Floyd-Warshall; `lower(eid, w)` then decreases one edge's
     weight and repairs every distance in O(n^2), since a shortest path uses
     the lowered edge at most once.  The matrix is int64 while n times the
     largest scaled weight stays below 2**59, so no sum of two distances and
     a weight overflows; beyond that (huge denominators) it holds Python
-    integers.  Unreachable pairs hold `inf`, which only an object matrix
-    can; int64 matrices therefore cover connected graphs only.
+    integers.  A disconnected graph is refused, so every entry is finite.
     """
 
     def __init__(self, graph: EstimateGraph,
@@ -277,11 +219,14 @@ class Distances:
             raise ValueError(f"{n} vertices exceed the limit of "
                              f"{MAX_VERTICES}")
         check_weights(graph, weights)
+        if not _connected(graph):
+            raise ValueError("graph is disconnected")
         self.graph = graph
         self.denom, self._scaled = scale_to_integers(graph, weights)
         self._top = max(self._scaled, default=0)
         narrow = n * self._top < _INT64_SPAN
-        D = np.full((n, n), _FAR if narrow else inf,
+        # longer than any path: the value of a pair no edge joins yet
+        D = np.full((n, n), n * self._top + 1,
                     dtype=np.int64 if narrow else object)
         np.fill_diagonal(D, 0)
         for e, s in zip(graph.edges, self._scaled):
@@ -289,11 +234,6 @@ class Distances:
                 D[e.a, e.b] = D[e.b, e.a] = s
         for k in range(n):
             np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
-        if narrow:
-            far = D == _FAR
-            if far.any():  # a disconnected graph: only objects hold inf
-                D = D.astype(object)
-                D[far] = inf
         self._matrix = D
 
     def lower(self, eid: int, weight: Fraction) -> None:
@@ -323,48 +263,30 @@ class Distances:
         self._matrix *= factor
 
     def row(self, u: int) -> list[int]:
-        """`denom` times the distance from u to every vertex (`inf` where
-        unreachable)."""
+        """`denom` times the distance from u to every vertex."""
         return self._matrix[u].tolist()
 
+    def among(self, vertices: Sequence[int]) -> list[list[int]]:
+        """`denom` times the distance between every pair of `vertices`,
+        row i and column j for vertices[i] and vertices[j]."""
+        return self._matrix[np.ix_(vertices, vertices)].tolist()
+
     def path(self, u: int, v: int) -> list[int]:
-        """A shortest u-v path, each vertex entered from its smallest
-        optimal predecessor."""
-        return _trace_path(self.graph, self._scaled, self.row(u), u, v)
-
-    def predecessors(self, u: int) -> dict[int, int]:
-        """The smallest optimal predecessor of every vertex reachable from
-        u, u itself excluded."""
+        """A shortest u-v path from u's distance row, each vertex entered
+        from its smallest optimal predecessor (see the module docstring);
+        with positive weights every such predecessor lies closer to u."""
         row = self.row(u)
-        return {x: _predecessor(self.graph, self._scaled, row, x)
-                for x, d in enumerate(row) if x != u and d != inf}
-
-    def closure(self, required: Iterable[int]) -> MetricClosure:
-        """The current distances among `required`, as a snapshot."""
-        verts = tuple(sorted(set(required)))
-        rows = self._matrix[list(verts)].tolist()
-        matrix = [[row[v] for v in verts] for row in rows]
-        for u, row in zip(verts, matrix):
-            if inf in row:
-                raise ValueError(f"vertex {verts[row.index(inf)]} "
-                                 f"unreachable from {u}")
-        return MetricClosure(verts, self.denom, matrix, self.graph,
-                             list(self._scaled), rows)
-
-
-def shortest_paths(graph: EstimateGraph, weights: Mapping[int, Fraction],
-                   source: int) -> tuple[dict[int, Fraction], dict[int, int]]:
-    """Exact single-source shortest path distances and predecessor map."""
-    dist = Distances(graph, weights)
-    dists = {v: Fraction(d, dist.denom)
-             for v, d in enumerate(dist.row(source)) if d != inf}
-    return dists, dist.predecessors(source)
-
-
-def metric_closure(graph: EstimateGraph, weights: Mapping[int, Fraction],
-                   required: Iterable[int]) -> MetricClosure:
-    """Integer distance matrix over `required`, with path expansion."""
-    return Distances(graph, weights).closure(required)
+        path = [v]
+        while path[-1] != u:
+            x = path[-1]
+            for y, eid in self.graph.neighbors(x):
+                if row[y] + self._scaled[eid] == row[x]:
+                    path.append(y)
+                    break
+            else:
+                raise AssertionError(f"no optimal predecessor of vertex {x}")
+        path.reverse()
+        return path
 
 
 def walk_violations(graph: EstimateGraph, walk: Walk,

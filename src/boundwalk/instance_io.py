@@ -41,6 +41,12 @@ def _field(obj: dict, key: str, parse, where: str = ""):
         raise ValueError(f"{where}bad field {key!r}: {exc}") from exc
 
 
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, got {value!r}")
+    return value
+
+
 def instance_from_dict(data: dict) -> tuple[EstimateGraph,
                                             WeightAssignment | None]:
     """Graph and optional actual weights; ValueError names a missing or
@@ -53,7 +59,10 @@ def instance_from_dict(data: dict) -> tuple[EstimateGraph,
     edges = []
     actuals: dict[int, Fraction] = {}
     have_actuals = True
-    for eid, entry in enumerate(_field(data, "edges", list)):
+    for eid, entry in enumerate(_field(data, "edges", _list)):
+        if not isinstance(entry, dict):
+            raise ValueError(f"bad field 'edges': entry {eid} is {entry!r}, "
+                             f"not an object")
         where = f"edge {eid}: "
         a, b = (_field(entry, key, parse_int, where) for key in ("a", "b"))
         lower, upper = (_field(entry, key, parse_fraction, where)
@@ -99,9 +108,11 @@ def save_adversary_config(path: str | Path, config: AdversaryConfig) -> None:
 
 def build_from_config(config: AdversaryConfig) -> Instance:
     """Instantiate the adaptive adversary a config stub refers to."""
-    family = FAMILIES.get(config.family)
+    family = (FAMILIES.get(config.family)
+              if isinstance(config.family, str) else None)
     if family is None or not family.adaptive:
-        raise ValueError(f"unknown adversary family {config.family!r}")
+        raise ValueError(f"field 'family': unknown adversary family "
+                         f"{config.family!r}")
     return family.build(family.parse(config.params), 0)
 
 

@@ -40,9 +40,9 @@ from typing import Sequence
 
 from .adversaries import FAMILIES, parse_int
 from .engine import run_episode
-from .explorers import make_explorer
+from .explorers import EXPLORERS, make_explorer
 from .graph import alpha_of
-from .solver import DEFAULT_EXACT_CAP
+from .solver import DEFAULT_EXACT_CAP, MAX_EXACT_CAP
 
 # one worker process per job: a bound, not a default
 MAX_JOBS = 64
@@ -64,21 +64,25 @@ class SweepConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "SweepConfig":
-        family = data["family"]
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
-        grid = {k: list(v) for k, v in data["grid"].items()}
+        """The config a JSON object describes; ValueError names a missing or
+        malformed field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a sweep config is a JSON object, not "
+                             f"{type(data).__name__}")
+        family = _config_field(data, "family", None, _family_name)
+        grid = _config_field(data, "grid", None, _grid_lists)
         unknown = set(grid) - set(FAMILIES[family].params)
         if unknown:
-            raise ValueError(f"family {family!r} does not take parameters "
-                             f"{sorted(unknown)}")
+            raise ValueError(f"field 'grid': family {family!r} does not take "
+                             f"parameters {sorted(unknown)}")
         config = SweepConfig(
             family=family,
             grid=grid,
-            explorers=tuple(data.get("explorers", ["precompute", "adaptive",
-                                                   "nn"])),
+            explorers=_config_field(data, "explorers",
+                                    ["precompute", "adaptive", "nn"],
+                                    _explorer_names),
             seeds=_config_field(data, "seeds", [0], _int_tuple),
-            out=data.get("out", "sweep_report"),
+            out=_config_field(data, "out", "sweep_report", _text),
             jobs=_config_field(data, "jobs", 1, parse_int),
             solver_cap=_config_field(data, "solver_cap", DEFAULT_EXACT_CAP,
                                      parse_int),
@@ -86,23 +90,64 @@ class SweepConfig:
         if not 1 <= config.jobs <= MAX_JOBS:
             raise ValueError(f"field 'jobs': {config.jobs} is outside "
                              f"1..{MAX_JOBS}")
-        for params in _grid_points(config):
-            FAMILIES[family].parse(params)  # a bad value fails the config
+        if config.solver_cap > MAX_EXACT_CAP:
+            raise ValueError(f"field 'solver_cap': {config.solver_cap} "
+                             f"exceeds the limit of {MAX_EXACT_CAP}")
+        try:
+            for params in _grid_points(config):
+                FAMILIES[family].parse(params)  # a bad value fails the config
+        except ValueError as exc:
+            raise ValueError(f"field 'grid': {exc}") from exc
         return config
 
 
 def _config_field(data: dict, key: str, default, parse):
-    """parse(data[key]) or parse(default); ValueError names the field."""
+    """parse(data[key]), or parse(default) when the key is absent and the
+    default is not None; ValueError names the field."""
+    if key not in data and default is None:
+        raise ValueError(f"missing field {key!r}")
     try:
         return parse(data.get(key, default))
     except ValueError as exc:
         raise ValueError(f"field {key!r}: {exc}") from exc
 
 
+def _family_name(value) -> str:
+    if not isinstance(value, str) or value not in FAMILIES:
+        raise ValueError(f"unknown family {value!r}")
+    return value
+
+
+def _grid_lists(value) -> dict[str, list]:
+    if not isinstance(value, dict):
+        raise ValueError(f"expected an object, got {value!r}")
+    for name, values in value.items():
+        if not isinstance(values, list):
+            raise ValueError(f"parameter {name!r}: expected a list, got "
+                             f"{values!r}")
+    return {k: list(v) for k, v in value.items()}
+
+
+def _explorer_names(value) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, got {value!r}")
+    for name in value:
+        if not isinstance(name, str) or name not in EXPLORERS:
+            raise ValueError(f"unknown explorer {name!r}; choose from "
+                             f"{sorted(EXPLORERS)}")
+    return tuple(value)
+
+
 def _int_tuple(value) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise ValueError(f"expected a list, got {value!r}")
     return tuple(parse_int(v) for v in value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
 
 
 def _grid_points(config: SweepConfig) -> list[dict]:

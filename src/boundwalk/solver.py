@@ -10,11 +10,13 @@ smallest vertex id among cost-optimal choices.  The returned walk is
 therefore the lexicographically smallest optimal visit order, expanded back
 to original edges.
 
-The metric closure holds its distances as integers over one common
-denominator; the DP works on that matrix and only the returned cost is
-converted back to an exact rational.  The closure comes from a fresh
-`metric_closure` of the task's weights, or from a caller's `Distances`
-that already holds them (the replanning explorers keep one per episode).
+The closure is `Distances.among` the required vertices: integers over one
+common denominator.  The DP works on that matrix, each leg of the order is
+expanded by `Distances.path`, and only the returned cost is converted back
+to an exact rational.  The `Distances` is a fresh one of the task's
+weights, or a caller's that already holds them (the replanning explorers
+keep one per episode).  A cap above MAX_EXACT_CAP is refused before any
+work, so no table exceeds 20 * 2**20 cells.
 A numpy kernel handles interiors of 6 or more vertices, a plain-Python
 kernel smaller ones and arbitrarily large integers; both implement the
 same recurrence and hand the reconstruction the same `column(mask) ->
@@ -43,14 +45,16 @@ from typing import Callable, Iterable, Iterator, Mapping, TYPE_CHECKING
 
 import numpy as np
 
-from .graph import (Distances, EstimateGraph, Walk, metric_closure,
-                    walk_of_vertices)
+from .graph import Distances, EstimateGraph, Walk, walk_of_vertices
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import KnowledgeView
 
 DEFAULT_EXACT_CAP = 20
 BRUTE_FORCE_CAP = 10
+# the largest cap a solve accepts: its table has at most 20 * 2**20 cells,
+# 84 MB in int32 and 168 MB in int64
+MAX_EXACT_CAP = 22
 
 # numpy pays off once the mask space is non-trivial
 _NUMPY_MIN_INTERIOR = 6
@@ -268,17 +272,20 @@ def _solve(graph: EstimateGraph, task: CoverTask, cap: int, oracle: str,
            order_search: Callable[..., tuple[int, list[int]]],
            distances: Distances | None = None) -> tuple[Walk, Fraction]:
     """Shared prelude and epilogue of the two oracles, which differ only in
-    `order_search` over the closure's integer matrix.  The closure comes
+    `order_search` over the closure's integer matrix.  The distances come
     from `distances` when given (which must hold `task.weights`), else
-    from a fresh `metric_closure`."""
+    from a fresh `Distances` of them."""
+    if cap > MAX_EXACT_CAP:
+        raise ValueError(f"solver cap {cap} exceeds the limit of "
+                         f"{MAX_EXACT_CAP}")
     required = task.required_vertices()
     if len(required) > cap:
         raise SolverCapExceeded(
             f"instance too large for {oracle}: {len(required)} required "
             f"vertices exceed cap {cap}")
-    closure = (metric_closure(graph, task.weights, required)
-               if distances is None else distances.closure(required))
-    D = closure.matrix
+    if distances is None:
+        distances = Distances(graph, task.weights)
+    D = distances.among(required)
     origin_i = required.index(task.origin)
     dest_i = required.index(task.destination)
     interior = [i for i in range(len(required))
@@ -291,9 +298,9 @@ def _solve(graph: EstimateGraph, task: CoverTask, cap: int, oracle: str,
         total, order_i = D[origin_i][dest_i], [origin_i, dest_i]
     vertices = [task.origin]
     for a, b in zip(order_i, order_i[1:]):
-        vertices.extend(closure.expand(required[a], required[b])[1:])
+        vertices.extend(distances.path(required[a], required[b])[1:])
     walk = walk_of_vertices(graph, vertices, task.weights)
-    cost = Fraction(total, closure.denom)
+    cost = Fraction(total, distances.denom)
     assert walk.cost == cost
     return walk, cost
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundwalk import (AlphaProfile, CoverTask, Edge, EstimateGraph, alpha_of,
-                       brute_force_cover, complete_graph, metric_closure,
-                       optimal_cover_walk, random_instance, shortest_paths,
-                       validate, walk_of_vertices, walk_violations)
+                       brute_force_cover, complete_graph, optimal_cover_walk,
+                       random_instance, validate, walk_of_vertices,
+                       walk_violations)
 from boundwalk.graph import MAX_VERTICES, Distances
 
 
@@ -73,57 +73,66 @@ class TestAlphaProfile:
         assert alpha_of(g) == AlphaProfile(F(2), False)
 
 
+def distances_from(dist, u):
+    """Exact distances from u, read from `dist`'s integer row."""
+    return [F(d, dist.denom) for d in dist.row(u)]
+
+
 class TestShortestPaths:
     def test_triangle_detour_beats_heavy_edge(self):
         g = triangle(1, 1, 3)
         w = {0: F(1), 1: F(1), 2: F(3)}
-        dists, _ = shortest_paths(g, w, 0)
-        assert dists[2] == F(2)
+        dist = Distances(g, w)
+        assert distances_from(dist, 0)[2] == F(2)
+        assert dist.path(0, 2) == [0, 1, 2]
 
     def test_unit_path_distances(self):
         g = path_graph([1, 1, 1, 1])
         w = {i: F(1) for i in range(4)}
-        dists, _ = shortest_paths(g, w, 0)
-        assert [dists[v] for v in range(5)] == [F(0), F(1), F(2), F(3), F(4)]
+        dist = Distances(g, w)
+        assert distances_from(dist, 0) == [F(0), F(1), F(2), F(3), F(4)]
+        assert dist.path(0, 4) == [0, 1, 2, 3, 4]
 
     def test_star_leaf_to_leaf(self):
         edges = [Edge(0, 1, F(1), F(1)), Edge(0, 2, F(1), F(1)),
                  Edge(0, 3, F(1), F(1))]
         g = EstimateGraph(4, edges, 1, 2)
         w = {0: F(1), 1: F(1), 2: F(1)}
-        dists, _ = shortest_paths(g, w, 1)
-        assert dists[2] == F(2)
+        dist = Distances(g, w)
+        assert distances_from(dist, 1)[2] == F(2)
+        assert dist.path(1, 2) == [1, 0, 2]
 
     def test_rejects_nonpositive_weights(self):
         g = path_graph([1])
         with pytest.raises(ValueError):
-            shortest_paths(g, {0: F(0)}, 0)
+            Distances(g, {0: F(0)})
         with pytest.raises(ValueError):
-            shortest_paths(g, {}, 0)
+            Distances(g, {})
 
     def test_predecessors_prefer_smaller_vertex(self):
-        # two equal-cost routes 0-1-3 and 0-2-3: reconstruct via vertex 1
+        # two equal-cost routes 0-1-3 and 0-2-3: 3 is entered from 1
         edges = [Edge(0, 1, F(1), F(1)), Edge(0, 2, F(1), F(1)),
                  Edge(1, 3, F(1), F(1)), Edge(2, 3, F(1), F(1))]
         g = EstimateGraph(4, edges, 0, 3)
         w = {i: F(1) for i in range(4)}
-        _, preds = shortest_paths(g, w, 0)
-        assert preds[3] == 1
+        dist = Distances(g, w)
+        assert dist.path(0, 3) == [0, 1, 3]
+        assert dist.path(3, 0) == [3, 1, 0]
 
 
 class TestMetricClosure:
     def test_triangle_entries(self):
         g = triangle(1, 1, 3)
         w = {0: F(1), 1: F(1), 2: F(3)}
-        mc = metric_closure(g, w, [0, 1, 2])
-        assert sorted([mc.distance(0, 1), mc.distance(1, 2),
-                       mc.distance(0, 2)]) == [F(1), F(1), F(2)]
+        dist = Distances(g, w)
+        D = dist.among([0, 1, 2])
+        assert sorted([D[0][1], D[1][2], D[0][2]]) == [1, 1, 2]
+        assert dist.denom == 1
 
     def test_endpoints_only(self):
         g = path_graph([1, 1])
         w = {0: F(1), 1: F(1)}
-        mc = metric_closure(g, w, [0, 2])
-        assert mc.distance(0, 2) == F(2)
+        assert Distances(g, w).among([0, 2]) == [[0, 2], [2, 0]]
 
     def test_four_cycle_avoids_heavy_edge(self):
         # independent oracle: the two simple 0-3 paths cost 5 and 1+1+1=3
@@ -131,22 +140,23 @@ class TestMetricClosure:
                  Edge(2, 3, F(1), F(1)), Edge(0, 3, F(5), F(5))]
         g = EstimateGraph(4, edges, 0, 3)
         w = {0: F(1), 1: F(1), 2: F(1), 3: F(5)}
-        mc = metric_closure(g, w, [0, 3])
-        assert mc.distance(0, 3) == F(3)
-        assert mc.expand(0, 3) == (0, 1, 2, 3)
+        dist = Distances(g, w)
+        assert dist.among([0, 3])[0][1] == 3
+        assert dist.path(0, 3) == [0, 1, 2, 3]
 
     def test_expansion_resums_exactly(self):
         edges = [Edge(0, 1, F(1, 3), F(1)), Edge(1, 2, F(2, 7), F(1)),
                  Edge(0, 2, F(5, 2), F(3))]
         g = EstimateGraph(3, edges, 0, 2)
         w = {0: F(1, 3), 1: F(2, 7), 2: F(5, 2)}
-        mc = metric_closure(g, w, [0, 1, 2])
+        dist = Distances(g, w)
+        D = dist.among([0, 1, 2])
         for u in (0, 1, 2):
             for v in (0, 1, 2):
-                path = mc.expand(u, v)
+                path = dist.path(u, v)
                 total = sum((w[g.edge_between(a, b)]
                              for a, b in zip(path, path[1:])), F(0))
-                assert total == mc.distance(u, v)
+                assert total == F(D[u][v], dist.denom)
 
     def test_matrix_scaled_by_weight_denominator(self):
         # the pendant edge 2-4 of weight 1/7 lies on no shortest path
@@ -158,13 +168,14 @@ class TestMetricClosure:
         g = EstimateGraph(5, edges, 0, 3)
         w = {eid: e.lower for eid, e in enumerate(edges)}
         required = (0, 1, 2, 3)
-        mc = metric_closure(g, w, required)
-        assert mc.vertices == required
-        assert mc.denom == 7
-        for i, u in enumerate(required):
-            for j, v in enumerate(required):
-                assert mc.distance(u, v).denominator == 1
-                assert mc.matrix[i][j] == mc.distance(u, v) * mc.denom
+        dist = Distances(g, w)
+        assert dist.denom == 7
+        reference = fraction_floyd_warshall(g, w)
+        for i, row in enumerate(dist.among(required)):
+            for j, entry in enumerate(row):
+                distance = reference[required[i]][required[j]]
+                assert distance.denominator == 1
+                assert entry == distance * 7
         task = CoverTask(weights=w, origin=0, destination=3,
                          must_visit=frozenset({1, 2}))
         walk, cost = optimal_cover_walk(g, task)
@@ -191,20 +202,19 @@ def fraction_floyd_warshall(graph, weights):
 def assert_same_distances(graph, weights, lowered, fresh):
     """Distances equal to the reference (as rationals, whatever the
     denominators) and equal paths between every pair of vertices, from
-    rows and from closures."""
+    rows and from the matrix over every vertex."""
     n = graph.vertex_count
     reference = fraction_floyd_warshall(graph, weights)
     for u in range(n):
-        assert ([F(d, lowered.denom) for d in lowered.row(u)]
-                == [F(d, fresh.denom) for d in fresh.row(u)]
+        assert (distances_from(lowered, u) == distances_from(fresh, u)
                 == reference[u])
         for v in range(n):
             assert lowered.path(u, v) == fresh.path(u, v)
-    closure, fresh_closure = (d.closure(range(n)) for d in (lowered, fresh))
-    for u in range(n):
-        for v in range(n):
-            assert closure.expand(u, v) == fresh_closure.expand(u, v)
-            assert closure.distance(u, v) == fresh_closure.distance(u, v)
+    everyone = list(range(n))
+    assert ([[F(d, lowered.denom) for d in row]
+             for row in lowered.among(everyone)]
+            == [[F(d, fresh.denom) for d in row]
+                for row in fresh.among(everyone)] == reference)
 
 
 # small denominators keep int64; several of the large primes together
@@ -264,23 +274,12 @@ class TestDistances:
         with pytest.raises(ValueError):
             dist.lower(1, F(0))
 
-    def test_closure_is_a_snapshot(self):
-        g = triangle(1, 1, 3)
-        dist = Distances(g, {0: F(1), 1: F(1), 2: F(3)})
-        closure = dist.closure([0, 2])
-        dist.lower(2, F(1))
-        assert closure.distance(0, 2) == F(2)
-        assert closure.expand(0, 2) == (0, 1, 2)
-        assert dist.closure([0, 2]).expand(0, 2) == (0, 2)
-
     def test_unreachable_pairs(self):
+        # a disconnected graph is refused before any distance is computed
         g = EstimateGraph(4, [Edge(0, 1, F(1), F(1)),
                               Edge(2, 3, F(1), F(1))], 0, 3)
-        w = {0: F(1), 1: F(1)}
-        dists, preds = shortest_paths(g, w, 0)
-        assert dists == {0: F(0), 1: F(1)} and preds == {1: 0}
-        with pytest.raises(ValueError, match="unreachable"):
-            metric_closure(g, w, [0, 3])
+        with pytest.raises(ValueError, match="disconnected"):
+            Distances(g, {0: F(1), 1: F(1)})
 
     def test_vertex_limit_checked_before_allocating(self):
         g = EstimateGraph(MAX_VERTICES + 1, [Edge(0, 1, F(1), F(1))], 0, 1)

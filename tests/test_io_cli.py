@@ -142,6 +142,33 @@ class TestCli:
                      "--alpha", "2", "--out", str(tmp_path / "x.json")]) == 1
         assert main(["run", str(tmp_path / "missing.json"),
                      "--explorer", "nn"]) == 1
+        capsys.readouterr()
+        # config shapes exit 1 with a message naming the field; nothing runs
+        sweep = {"family": "complete", "grid": {"k": [3]},
+                 "explorers": ["nn"], "out": str(tmp_path / "rep")}
+        for config, field in (([1], "JSON object"),
+                              ({**sweep, "grid": [1]}, "'grid'"),
+                              ({**sweep, "grid": {"k": 3}}, "'grid'"),
+                              ({**sweep, "family": ["complete"]}, "'family'"),
+                              ({**sweep, "explorers": "adaptive"},
+                               "'explorers'"),
+                              ({**sweep, "explorers": ["dfs"]}, "'explorers'"),
+                              ({**sweep, "solver_cap": 23}, "'solver_cap'")):
+            bad.write_text(json.dumps(config), encoding="utf-8")
+            assert main(["sweep", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert field in err and "Traceback" not in err
+        assert not (tmp_path / "rep.csv").exists()
+        bad.write_text(json.dumps({"family": ["complete"], "k": 3}),
+                       encoding="utf-8")
+        assert main(["run", str(bad), "--explorer", "nn"]) == 1
+        assert "'family'" in capsys.readouterr().err
+        # random's density must be a finite number in [0, 1]
+        for density in ("inf", "2", "-1", "nan"):
+            assert main(["generate", "random", "--n", "5", "--density",
+                         density, "--out", str(tmp_path / "r.json")]) == 1
+            assert "parameter 'density'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("fields, message", [
         ({"edges": [{"a": 0, "b": 1, "lower": "1", "upper": "1/0",
@@ -236,6 +263,9 @@ class TestCli:
         assert main(["generate", "random", "--n", "12", "--seed", "1",
                      "--out", str(inst)]) == 0
         assert main(["oracle", str(inst), "--solver-cap", "6"]) == 2
+        # a cap beyond the DP's memory limit is refused before any table
+        assert main(["oracle", str(inst), "--solver-cap", "40"]) == 1
+        assert "limit of 22" in capsys.readouterr().err
 
     def test_missing_required_flag(self, tmp_path, capsys):
         assert main(["generate", "grid", "--out",

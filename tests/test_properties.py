@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from boundwalk import (CoverTask, FixedAssignment, brute_force_cover,
-                       make_explorer, metric_closure, move, optimal_cover_walk,
-                       random_instance, shortest_paths, start_episode,
+from boundwalk import (CoverTask, Distances, FixedAssignment,
+                       brute_force_cover, make_explorer, move,
+                       optimal_cover_walk, random_instance, start_episode,
                        walk_violations)
 
 instances = st.builds(
@@ -16,7 +16,7 @@ instances = st.builds(
 
 
 def all_simple_path_distance(graph, weights, source, target):
-    """Exhaustive simple-path enumeration; independent of Dijkstra."""
+    """Exhaustive simple-path enumeration; independent of Floyd-Warshall."""
     best = None
     stack = [(source, {source}, F(0))]
     while stack:
@@ -35,19 +35,18 @@ def all_simple_path_distance(graph, weights, source, target):
 @given(instances)
 def test_shortest_paths_match_exhaustive_enumeration(instance):
     graph, assignment = instance
-    dists, preds = shortest_paths(graph, assignment.weights, graph.start)
+    dist = Distances(graph, assignment.weights)
+    row = [F(d, dist.denom) for d in dist.row(graph.start)]
     for v in range(graph.vertex_count):
         expected = all_simple_path_distance(graph, assignment.weights,
                                             graph.start, v)
-        assert dists[v] == expected
-    # predecessor chains reproduce the distances exactly
-    for v in range(graph.vertex_count):
-        cost, cur = F(0), v
-        while cur != graph.start:
-            p = preds[cur]
-            cost += assignment.weights[graph.edge_between(p, cur)]
-            cur = p
-        assert cost == dists[v]
+        assert row[v] == expected
+        # the path re-sums to the distance exactly
+        path = dist.path(graph.start, v)
+        assert path[0] == graph.start and path[-1] == v
+        cost = sum((assignment.weights[graph.edge_between(a, b)]
+                    for a, b in zip(path, path[1:])), F(0))
+        assert cost == row[v]
 
 
 @settings(max_examples=30, deadline=None)
@@ -55,27 +54,27 @@ def test_shortest_paths_match_exhaustive_enumeration(instance):
 def test_metric_closure_is_a_metric(instance):
     graph, assignment = instance
     required = list(range(graph.vertex_count))
-    mc = metric_closure(graph, assignment.weights, required)
+    D = Distances(graph, assignment.weights).among(required)
     for u in required:
-        assert mc.distance(u, u) == 0
+        assert D[u][u] == 0
         for v in required:
-            assert mc.distance(u, v) == mc.distance(v, u)
+            assert D[u][v] == D[v][u]
     for a, b, c in itertools.product(required, repeat=3):
-        assert mc.distance(a, c) <= mc.distance(a, b) + mc.distance(b, c)
+        assert D[a][c] <= D[a][b] + D[b][c]
 
 
 @settings(max_examples=30, deadline=None)
 @given(instances)
 def test_closure_expansion_resums_exactly(instance):
     graph, assignment = instance
-    mc = metric_closure(graph, assignment.weights,
-                        range(graph.vertex_count))
+    dist = Distances(graph, assignment.weights)
+    D = dist.among(range(graph.vertex_count))
     for u in range(graph.vertex_count):
         for v in range(graph.vertex_count):
-            path = mc.expand(u, v)
+            path = dist.path(u, v)
             total = sum((assignment.weights[graph.edge_between(a, b)]
                          for a, b in zip(path, path[1:])), F(0))
-            assert total == mc.distance(u, v)
+            assert total == F(D[u][v], dist.denom)
 
 
 @settings(max_examples=25, deadline=None)

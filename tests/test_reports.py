@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from boundwalk import alpha_of, engine, random_instance, reports
+from boundwalk import MAX_EXACT_CAP, alpha_of, engine, random_instance, reports
 from boundwalk.adversaries import FAMILIES
 from boundwalk.cli import main
 from boundwalk.engine import run_episode
@@ -155,10 +155,39 @@ class TestSweep:
         for field, value in (("seeds", [1.9, True]), ("seeds", [True]),
                              ("seeds", "12"), ("jobs", 2.5),
                              ("solver_cap", 12.7), ("jobs", 0),
-                             ("jobs", MAX_JOBS + 1)):
+                             ("jobs", MAX_JOBS + 1),
+                             # the DP table's memory limit, checked at load
+                             ("solver_cap", MAX_EXACT_CAP + 1),
+                             ("solver_cap", 10**9),
+                             # shapes: every field names itself
+                             ("grid", [1]), ("grid", {"k": 3}),
+                             ("family", ["complete"]), ("family", None),
+                             ("explorers", "adaptive"),
+                             ("explorers", ["dfs"]), ("explorers", [["nn"]]),
+                             ("out", 5)):
             with pytest.raises(ValueError, match=f"'{field}'"):
                 sweep_config(**{field: value})
         assert sweep_config(jobs=MAX_JOBS).jobs == MAX_JOBS
+        assert (sweep_config(solver_cap=MAX_EXACT_CAP).solver_cap
+                == MAX_EXACT_CAP)
+        for present, missing in (({"grid": {"k": [3]}}, "family"),
+                                 ({"family": "complete"}, "grid")):
+            with pytest.raises(ValueError, match=f"missing field '{missing}'"):
+                SweepConfig.from_dict(present)
+        with pytest.raises(ValueError, match="JSON object"):
+            SweepConfig.from_dict([1])
+        # random's density is a finite number in [0, 1], its law one of two
+        for grid, name in (({"density": [True]}, "density"),
+                           ({"density": [1.5]}, "density"),
+                           ({"density": [-1]}, "density"),
+                           ({"density": [float("nan")]}, "density"),
+                           ({"density": [float("inf")]}, "density"),
+                           ({"density": [10**400]}, "density"),
+                           ({"density": ["dense"]}, "density"),
+                           ({"law": ["gaussian"]}, "law"),
+                           ({"law": [["mixed"]]}, "law")):
+            with pytest.raises(ValueError, match=f"parameter '{name}'"):
+                sweep_config(family="random", grid={"n": [5], **grid})
 
     def test_cli_sweep_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"

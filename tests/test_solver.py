@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from boundwalk import (CoverTask, Edge, EstimateGraph, SolverCapExceeded,
-                       brute_force_cover, complete_graph, metric_closure,
+from boundwalk import (CoverTask, Distances, Edge, EstimateGraph,
+                       SolverCapExceeded, brute_force_cover, complete_graph,
                        optimal_cover_walk, pessimistic_weights,
                        random_instance, solver, walk_violations,
                        worst_case_cover_walk)
@@ -97,6 +97,17 @@ def test_cap_exceeded_is_loud():
         brute_force_cover(g, cover_all(g, w))
 
 
+def test_cap_above_memory_limit_refused():
+    # a triangle needs no table; the cap alone is refused, before any work
+    g = complete_graph(3, F(2))
+    w = {eid: F(1) for eid in range(len(g.edges))}
+    assert optimal_cover_walk(g, cover_all(g, w),
+                              cap=solver.MAX_EXACT_CAP)[1] == 2
+    for cap in (solver.MAX_EXACT_CAP + 1, 40, 10**9):
+        with pytest.raises(ValueError, match="limit of 22"):
+            optimal_cover_walk(g, cover_all(g, w), cap=cap)
+
+
 def test_oracle_equivalence_random_instances():
     # n = 8 and 9 give interiors of 6 and 7, the smallest the numpy kernel
     # takes (from cached plans); n = 10 an interior of 8
@@ -134,7 +145,7 @@ def test_numpy_and_python_kernels_agree(monkeypatch):
     g = complete_graph(10, F(2))
     w = {eid: 1 + F(eid, primes[eid % 3]) for eid in range(len(g.edges))}
     task = cover_all(g, w)
-    D = metric_closure(g, w, task.required_vertices()).matrix
+    D = Distances(g, w).among(task.required_vertices())
     reach = max(map(max, D)) * (len(D) + 1)
     assert solver._INT32_LIMIT <= reach < solver._INT64_LIMIT
     cases.append((D, np.int64))
@@ -176,7 +187,7 @@ def test_large_denominators_take_python_kernel(monkeypatch):
     g = complete_graph(10, F(2))
     w = {eid: 1 + F(eid, primes[eid % 5]) for eid in range(len(g.edges))}
     task = cover_all(g, w)
-    D = metric_closure(g, w, task.required_vertices()).matrix
+    D = Distances(g, w).among(task.required_vertices())
     assert max(map(max, D)) * (len(D) + 1) >= solver._INT64_LIMIT
 
     def no_numpy(*args):
