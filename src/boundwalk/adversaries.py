@@ -584,8 +584,9 @@ def random_uniform_assignment(graph: EstimateGraph,
 
 def parse_fraction(text: str | int | Fraction) -> Fraction:
     """Accept "p/q", integer, or exact decimal strings like "1.5", or a
-    Fraction; floats are refused as inexact."""
-    if isinstance(text, (int, str, Fraction)):
+    Fraction; floats are refused as inexact, booleans as not numbers."""
+    if (isinstance(text, (int, str, Fraction))
+            and not isinstance(text, bool)):
         return Fraction(text)
     raise ValueError(f"cannot parse exact rational from {text!r}")
 

@@ -21,7 +21,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Protocol, Sequence
 
-from .graph import (EstimateGraph, Walk, WeightAssignment, walk_violations)
+from .graph import (Edge, EstimateGraph, Walk, WeightAssignment,
+                    walk_violations)
 from .solver import (CoverTask, DEFAULT_EXACT_CAP, SolverCapExceeded,
                      optimal_cover_walk)
 
@@ -110,6 +111,15 @@ class KnowledgeView:
                 and self.position == self.graph.end)
 
 
+def _within(w: Fraction, e: Edge) -> bool:
+    """e.lower <= w <= e.upper for a Fraction or int w, cross-multiplied
+    in integers (every denominator is positive)."""
+    n, d = w.numerator, w.denominator
+    lo, hi = e.lower, e.upper
+    return (lo.numerator * d <= n * lo.denominator
+            and n * hi.denominator <= hi.numerator * d)
+
+
 def _reveal_incident(graph: EstimateGraph, source: WeightSource,
                      revealed: dict[int, Fraction], vertex: int,
                      visit_seq: tuple[int, ...]) -> list[Reveal]:
@@ -119,7 +129,7 @@ def _reveal_incident(graph: EstimateGraph, source: WeightSource,
             continue
         w = source.reveal(eid, visit_seq)
         e = graph.edges[eid]
-        if not e.lower <= w <= e.upper:
+        if not _within(w, e):
             raise AdversaryFault(
                 f"weight {w} for edge {eid} outside [{e.lower}, {e.upper}]")
         revealed[eid] = w
@@ -134,8 +144,7 @@ def _check_view(view: KnowledgeView) -> None:
         raise EngineError("reveal set does not match edges incident to "
                           "visited vertices")
     for eid, w in view.revealed.items():
-        e = graph.edges[eid]
-        if not e.lower <= w <= e.upper:
+        if not _within(w, graph.edges[eid]):
             raise AdversaryFault(f"revealed weight {w} outside interval "
                                  f"of edge {eid}")
 
@@ -240,8 +249,7 @@ def realized_assignment(graph: EstimateGraph, view: KnowledgeView,
         if eid in weights:
             continue
         w = source.complete(eid, seq)
-        e = graph.edges[eid]
-        if not e.lower <= w <= e.upper:
+        if not _within(w, graph.edges[eid]):
             raise AdversaryFault(
                 f"completion weight {w} for edge {eid} outside interval")
         weights[eid] = w

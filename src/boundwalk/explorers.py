@@ -10,6 +10,13 @@ Reveals only ever lower a pessimistic weight, so this matches a rebuild
 exactly.  A view whose reveals do not extend those of the last view seen
 (another graph or episode, or an earlier step) gets a fresh build, so
 reusing one of these explorers never changes its decisions.
+
+The adaptive explorer plans in integers on that `Distances`
+(`solver.worst_case_plan`) and converts only the plan cost to a Fraction.
+Next to it, it keeps one `solver.SuffixTable`, which a decision reads
+while the closure among the vertices still to visit is the one the table
+was built on.  That is checked by content, not by episode, so it too
+never changes a decision.
 """
 from __future__ import annotations
 
@@ -17,8 +24,8 @@ from fractions import Fraction
 
 from .engine import KnowledgeView
 from .graph import Distances
-from .solver import (CoverTask, DEFAULT_EXACT_CAP, optimal_cover_walk,
-                     pessimistic_weights, worst_case_cover_walk)
+from .solver import (CoverTask, DEFAULT_EXACT_CAP, SuffixTable,
+                     optimal_cover_walk, pessimistic_weights, worst_case_plan)
 
 
 class _EpisodeDistances:
@@ -83,14 +90,15 @@ class AdaptiveExplorer:
     def __init__(self, cap: int = DEFAULT_EXACT_CAP):
         self._cap = cap
         self._distances = _EpisodeDistances()
+        self._table = SuffixTable()
         self.plan_costs: list[Fraction] = []
 
     def decide(self, view: KnowledgeView) -> int:
-        walk, cost = worst_case_cover_walk(
-            view.graph, view, view.graph.end, cap=self._cap,
-            distances=self._distances.of(view))
-        self.plan_costs.append(cost)
-        return walk.vertices[1]
+        distances = self._distances.of(view)
+        vertices, total = worst_case_plan(view, view.graph.end, distances,
+                                          self._table, cap=self._cap)
+        self.plan_costs.append(Fraction(total, distances.denom))
+        return vertices[1]
 
 
 class NearestNeighborExplorer:

@@ -187,7 +187,7 @@ def check_weights(graph: EstimateGraph, weights: Mapping[int, Fraction]) -> None
         w = weights.get(eid)
         if w is None:
             raise ValueError(f"weight missing for edge {eid}")
-        if w <= 0:
+        if w.numerator <= 0:  # a Fraction's or int's denominator is > 0
             raise ValueError(f"nonpositive weight {w} for edge {eid}")
 
 
@@ -269,7 +269,13 @@ class Distances:
     def among(self, vertices: Sequence[int]) -> list[list[int]]:
         """`denom` times the distance between every pair of `vertices`,
         row i and column j for vertices[i] and vertices[j]."""
-        return self._matrix[np.ix_(vertices, vertices)].tolist()
+        return self._matrix.take(vertices, 0).take(vertices, 1).tolist()
+
+    def length(self, vertices: Sequence[int]) -> int:
+        """`denom` times the weight of the walk through `vertices`."""
+        edge = self.graph.edge_between
+        return sum(self._scaled[edge(a, b)]
+                   for a, b in zip(vertices, vertices[1:]))
 
     def path(self, u: int, v: int) -> list[int]:
         """A shortest u-v path from u's distance row, each vertex entered

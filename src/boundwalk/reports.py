@@ -122,15 +122,14 @@ def _grid_lists(value) -> dict[str, list]:
     if not isinstance(value, dict):
         raise ValueError(f"expected an object, got {value!r}")
     for name, values in value.items():
-        if not isinstance(values, list):
-            raise ValueError(f"parameter {name!r}: expected a list, got "
-                             f"{values!r}")
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"parameter {name!r}: expected a non-empty "
+                             f"list, got {values!r}")
     return {k: list(v) for k, v in value.items()}
 
 
 def _explorer_names(value) -> tuple[str, ...]:
-    if not isinstance(value, list):
-        raise ValueError(f"expected a list, got {value!r}")
+    _non_empty_list(value)
     for name in value:
         if not isinstance(name, str) or name not in EXPLORERS:
             raise ValueError(f"unknown explorer {name!r}; choose from "
@@ -139,9 +138,14 @@ def _explorer_names(value) -> tuple[str, ...]:
 
 
 def _int_tuple(value) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ValueError(f"expected a list, got {value!r}")
+    _non_empty_list(value)
     return tuple(parse_int(v) for v in value)
+
+
+def _non_empty_list(value) -> None:
+    # an empty list would run no rows and still read as a success
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"expected a non-empty list, got {value!r}")
 
 
 def _text(value) -> str:

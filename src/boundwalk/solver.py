@@ -10,17 +10,28 @@ smallest vertex id among cost-optimal choices.  The returned walk is
 therefore the lexicographically smallest optimal visit order, expanded back
 to original edges.
 
-The closure is `Distances.among` the required vertices: integers over one
-common denominator.  The DP works on that matrix, each leg of the order is
-expanded by `Distances.path`, and only the returned cost is converted back
-to an exact rational.  The `Distances` is a fresh one of the task's
+Every solve runs one integer core, `_integer_walk`: the closure
+`Distances.among` the required vertices (integers over one common
+denominator), the order search on that matrix, and each leg of the order
+expanded by `Distances.path`.  Two epilogues follow it.  The oracles
+(`optimal_cover_walk`, `brute_force_cover`, `worst_case_cover_walk`)
+price the walk as a Fraction `Walk` and check it against the cost
+Fraction(total, denom).  `worst_case_plan`, the adaptive explorer's,
+stays in integers: it checks the walk's scaled step weights against the
+DP total and returns both.  The `Distances` is a fresh one of the task's
 weights, or a caller's that already holds them (the replanning explorers
 keep one per episode).  A cap above MAX_EXACT_CAP is refused before any
 work, so no table exceeds 20 * 2**20 cells.
-A numpy kernel handles interiors of 6 or more vertices, a plain-Python
+A numpy kernel handles interiors of 5 or more vertices, a plain-Python
 kernel smaller ones and arbitrarily large integers; both implement the
 same recurrence and hand the reconstruction the same `column(mask) ->
 per-vertex costs` accessor.
+
+`worst_case_plan` reads its table through a `SuffixTable`, which keeps
+the last one built.  A table depends only on the closure among its
+interior and destination, so after a move it still serves the remaining
+vertices, under its old bit numbering, until a reveal changes a distance
+among them: an episode builds a table only when that happens.
 
 The numpy table is layered by popcount: layer p is an (m, C(m, p)) array
 whose columns are the p-element masks in increasing order, so each layer
@@ -41,7 +52,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf
-from typing import Callable, Iterable, Iterator, Mapping, TYPE_CHECKING
+from operator import itemgetter
+from typing import (Callable, Iterable, Iterator, Mapping, Sequence,
+                    TYPE_CHECKING)
 
 import numpy as np
 
@@ -57,7 +70,7 @@ BRUTE_FORCE_CAP = 10
 MAX_EXACT_CAP = 22
 
 # numpy pays off once the mask space is non-trivial
-_NUMPY_MIN_INTERIOR = 6
+_NUMPY_MIN_INTERIOR = 5
 # interiors up to this size keep their kernel index plan cached
 _PLAN_CACHE_MAX = 12
 # cells one kernel gather may hold, unless a single bit needs more
@@ -211,30 +224,34 @@ def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
     return column
 
 
-def _dp_order(D: list[list[int]], origin_i: int, dest_i: int,
-              interior: list[int]) -> tuple[int, list[int]]:
-    """Minimum cost and lexicographically smallest optimal visit order
-    (as closure indices) for a fixed-endpoint path through every index of
-    a non-empty `interior`; origin_i == dest_i makes it a closed tour."""
-    r = len(D)
-    m = len(interior)
-    reach = max(max(row) for row in D) * (r + 1)
-    use_numpy = m >= _NUMPY_MIN_INTERIOR and reach < _INT64_LIMIT
-    if use_numpy:
+def _suffix_table(D: list[list[int]], dest_i: int, interior: list[int]
+                  ) -> tuple[Callable[[int], list[int]], bool]:
+    """The suffix table of `interior` toward dest_i, and whether numpy
+    built it: from an interior of _NUMPY_MIN_INTERIOR, when the closure
+    fits its dtype."""
+    reach = max(max(row) for row in D) * (len(D) + 1)
+    if len(interior) >= _NUMPY_MIN_INTERIOR and reach < _INT64_LIMIT:
         dtype = np.int32 if reach < _INT32_LIMIT else np.int64
-        column = _suffix_table_np(D, dest_i, interior, dtype)
-    else:
-        column = _suffix_table_py(D, dest_i, interior)
+        return _suffix_table_np(D, dest_i, interior, dtype), True
+    return _suffix_table_py(D, dest_i, interior), False
 
+
+def _reconstruct(D: list[list[int]], origin_i: int, dest_i: int,
+                 interior: list[int], remaining: int,
+                 column: Callable[[int], list[int]],
+                 numpy: bool) -> tuple[int, list[int]]:
+    """Cost and lexicographically smallest optimal order from origin_i
+    through closure index interior[j] for every bit j of `remaining`, then
+    dest_i, read front to back from the table `column` (numpy-built when
+    `numpy`), whose bits follow interior's increasing order."""
     order = [origin_i]
     pos = origin_i
-    remaining = (1 << m) - 1
     total = 0
     while remaining:
         costs = column(remaining)
         best_cost = None
         best_j = -1
-        for j in range(m):
+        for j in range(len(interior)):
             if not remaining >> j & 1:
                 continue
             c = D[pos][interior[j]] + costs[j]
@@ -242,7 +259,7 @@ def _dp_order(D: list[list[int]], origin_i: int, dest_i: int,
                 best_cost = c
                 best_j = j
         # an unset numpy cell reads as _INF; Python-kernel ints may exceed it
-        assert best_cost is not None and (best_cost < _INF or not use_numpy)
+        assert best_cost is not None and (best_cost < _INF or not numpy)
         total += D[pos][interior[best_j]]
         pos = interior[best_j]
         order.append(pos)
@@ -250,6 +267,70 @@ def _dp_order(D: list[list[int]], origin_i: int, dest_i: int,
     total += D[pos][dest_i]
     order.append(dest_i)
     return total, order
+
+
+def _dp_order(D: list[list[int]], origin_i: int, dest_i: int,
+              interior: list[int]) -> tuple[int, list[int]]:
+    """Minimum cost and lexicographically smallest optimal visit order
+    (as closure indices) for a fixed-endpoint path through every index of
+    a non-empty `interior`; origin_i == dest_i makes it a closed tour."""
+    column, numpy = _suffix_table(D, dest_i, interior)
+    return _reconstruct(D, origin_i, dest_i, interior,
+                        (1 << len(interior)) - 1, column, numpy)
+
+
+class SuffixTable:
+    """At most one suffix table, kept from one plan to the next.
+
+    A table's cells depend only on the closure among its interior and its
+    destination.  So a later plan toward the same destination, at the same
+    denominator, whose interior is a subset of the table's and whose
+    closure among that interior and the destination is unchanged, reads
+    the table under its old bit numbering.  Those bits still run in
+    increasing vertex id, so ties resolve as in a table of its own.  Any
+    other plan drops the table before it builds its own.
+    """
+
+    def __init__(self) -> None:
+        self._key: tuple[int, int] | None = None  # destination, denom
+        # vertex -> bit, the destination last; the closure rows among them
+        self._bits: dict[int, int] = {}
+        self._closure: list[tuple[int, ...]] = []
+        self._column: Callable[[int], list[int]] | None = None
+        self._numpy = False
+
+    def _fits(self, key: tuple[int, int], D: list[list[int]],
+              vertices: list[int], rows: list[int]) -> bool:
+        bits = self._bits
+        if key != self._key or not all(v in bits for v in vertices):
+            return False
+        old = itemgetter(*[bits[v] for v in vertices])
+        new = itemgetter(*rows)
+        return all(old(self._closure[bits[v]]) == new(D[i])
+                   for v, i in zip(vertices, rows))
+
+    def order(self, D: list[list[int]], required: Sequence[int], denom: int,
+              origin_i: int, dest_i: int,
+              interior: list[int]) -> tuple[int, list[int]]:
+        """`_dp_order` on the closure D among `required` at `denom`."""
+        rows = interior + [dest_i]
+        vertices = [required[i] for i in rows]
+        key = (required[dest_i], denom)
+        if not self._fits(key, D, vertices, rows):
+            self._column = None  # never hold two tables
+            self._column, self._numpy = _suffix_table(D, dest_i, interior)
+            self._key = key
+            self._bits = {v: j for j, v in enumerate(vertices)}
+            get = itemgetter(*rows)
+            self._closure = [get(D[i]) for i in rows]
+        slots = [-1] * (len(self._bits) - 1)
+        remaining = 0
+        for v, i in zip(vertices, interior):
+            j = self._bits[v]
+            slots[j] = i
+            remaining |= 1 << j
+        return _reconstruct(D, origin_i, dest_i, slots, remaining,
+                            self._column, self._numpy)
 
 
 def _brute_force_order(D: list[list[int]], origin_i: int, dest_i: int,
@@ -268,26 +349,32 @@ def _brute_force_order(D: list[list[int]], origin_i: int, dest_i: int,
     return cost(best), [origin_i, *best, dest_i]
 
 
-def _solve(graph: EstimateGraph, task: CoverTask, cap: int, oracle: str,
-           order_search: Callable[..., tuple[int, list[int]]],
-           distances: Distances | None = None) -> tuple[Walk, Fraction]:
-    """Shared prelude and epilogue of the two oracles, which differ only in
-    `order_search` over the closure's integer matrix.  The distances come
-    from `distances` when given (which must hold `task.weights`), else
-    from a fresh `Distances` of them."""
+def _required(origin: int, destination: int, must_visit: frozenset[int],
+              cap: int, oracle: str) -> tuple[int, ...]:
+    """The sorted required vertices of a solve, refused beyond `cap`
+    before any work."""
     if cap > MAX_EXACT_CAP:
         raise ValueError(f"solver cap {cap} exceeds the limit of "
                          f"{MAX_EXACT_CAP}")
-    required = task.required_vertices()
+    required = tuple(sorted(must_visit | {origin, destination}))
     if len(required) > cap:
         raise SolverCapExceeded(
             f"instance too large for {oracle}: {len(required)} required "
             f"vertices exceed cap {cap}")
-    if distances is None:
-        distances = Distances(graph, task.weights)
+    return required
+
+
+def _integer_walk(distances: Distances, required: tuple[int, ...],
+                  origin: int, destination: int,
+                  order_search: Callable[..., tuple[int, list[int]]]
+                  ) -> tuple[list[int], int]:
+    """The integer core of every solve: the vertices of a cheapest walk
+    from origin through `required` to destination, each leg of
+    `order_search`'s order over the closure expanded by `Distances.path`,
+    and `distances.denom` times its cost."""
     D = distances.among(required)
-    origin_i = required.index(task.origin)
-    dest_i = required.index(task.destination)
+    origin_i = required.index(origin)
+    dest_i = required.index(destination)
     interior = [i for i in range(len(required))
                 if i != origin_i and i != dest_i]
     if interior:
@@ -296,9 +383,25 @@ def _solve(graph: EstimateGraph, task: CoverTask, cap: int, oracle: str,
         total, order_i = 0, [origin_i]
     else:
         total, order_i = D[origin_i][dest_i], [origin_i, dest_i]
-    vertices = [task.origin]
+    vertices = [origin]
     for a, b in zip(order_i, order_i[1:]):
         vertices.extend(distances.path(required[a], required[b])[1:])
+    return vertices, total
+
+
+def _solve(graph: EstimateGraph, task: CoverTask, cap: int, oracle: str,
+           order_search: Callable[..., tuple[int, list[int]]],
+           distances: Distances | None = None) -> tuple[Walk, Fraction]:
+    """`_integer_walk` with the Fraction epilogue of the two oracles, which
+    differ only in `order_search`.  The distances come from `distances`
+    when given (which must hold `task.weights`), else from a fresh
+    `Distances` of them."""
+    required = _required(task.origin, task.destination, task.must_visit,
+                         cap, oracle)
+    if distances is None:
+        distances = Distances(graph, task.weights)
+    vertices, total = _integer_walk(distances, required, task.origin,
+                                    task.destination, order_search)
     walk = walk_of_vertices(graph, vertices, task.weights)
     cost = Fraction(total, distances.denom)
     assert walk.cost == cost
@@ -340,3 +443,23 @@ def worst_case_cover_walk(graph: EstimateGraph, view: "KnowledgeView",
     task = CoverTask(weights=weights, origin=view.position,
                      destination=destination, must_visit=unvisited)
     return optimal_cover_walk(graph, task, cap=cap, distances=distances)
+
+
+def worst_case_plan(view: "KnowledgeView", destination: int,
+                    distances: Distances, table: SuffixTable, *,
+                    cap: int = DEFAULT_EXACT_CAP) -> tuple[list[int], int]:
+    """`worst_case_cover_walk` in integers: the walk's vertices and
+    `distances.denom` times its cost.  `distances` must hold the view's
+    pessimistic weights; `table` keeps a suffix table between calls."""
+    required = _required(view.position, destination, view.unvisited, cap,
+                         "exact oracle")
+
+    def search(D, origin_i, dest_i, interior):
+        return table.order(D, required, distances.denom, origin_i, dest_i,
+                           interior)
+
+    vertices, total = _integer_walk(distances, required, view.position,
+                                    destination, search)
+    # the integer counterpart of the oracles' `walk.cost == cost`
+    assert distances.length(vertices) == total
+    return vertices, total

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -50,6 +51,35 @@ class TestStartEpisode:
         src = FixedAssignment(WeightAssignment({0: F(3)}))
         with pytest.raises(AdversaryFault):
             start_episode(g, src)
+
+    @pytest.mark.parametrize("w, inside", [
+        (F(3, 2), True), (F(5, 2), True), (2, True),
+        (F(3, 2) - F(1, 10**9), False), (F(5, 2) + F(1, 10**9), False),
+        (1, False), (3, False)],
+        ids=["lower", "upper", "int-inside", "just-below", "just-above",
+             "int-below", "int-above"])
+    def test_interval_checks_are_exact_at_the_bounds(self, w, inside):
+        # the reveal, the view check and the completion each compare
+        # exactly: a bound is inside, one part in 10**9 beyond it is not,
+        # and an int weight counts as its value
+        g = EstimateGraph(3, [Edge(0, 1, F(3, 2), F(5, 2)),
+                              Edge(1, 2, F(3, 2), F(5, 2))], 0, 2)
+        view = start_episode(g, FixedAssignment(WeightAssignment(
+            {0: F(2), 1: F(2)})))
+        src = FixedAssignment(WeightAssignment({0: w, 1: w}))
+        checks = [(lambda: start_episode(g, src), "weight .* for edge 0 "
+                   r"outside \[3/2, 5/2\]"),
+                  (lambda: engine._check_view(dataclasses.replace(
+                      view, revealed={0: w})),
+                   "revealed weight .* outside interval of edge 0"),
+                  (lambda: realized_assignment(g, view, src),
+                   "completion weight .* for edge 1 outside interval")]
+        for check, message in checks:
+            if inside:
+                check()
+            else:
+                with pytest.raises(AdversaryFault, match=message):
+                    check()
 
 
 class TestMove:

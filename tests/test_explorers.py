@@ -3,10 +3,11 @@ from fractions import Fraction as F
 import pytest
 
 from boundwalk import (AdaptiveExplorer, Edge, EstimateGraph, FixedAssignment,
-                       SolverCapExceeded, alpha_of, build_complete_adversary,
+                       GridSpec, SolverCapExceeded, alpha_of,
+                       build_complete_adversary, build_grid_trap,
                        complete_graph, CompleteAdvSpec, make_explorer, move,
                        random_instance, random_uniform_assignment,
-                       run_episode, start_episode)
+                       run_episode, solver, start_episode)
 from boundwalk.graph import WeightAssignment
 
 
@@ -166,29 +167,66 @@ def test_all_explorers_complete_half_split_episodes():
         assert rep.steps >= bundle.graph.vertex_count - 1
 
 
+def grid_episode_source():
+    bundle = build_grid_trap(GridSpec(4, F(3, 2)), verify_adaptive=False)
+    return bundle.graph, FixedAssignment(bundle.assignment)
+
+
 @pytest.mark.parametrize("name", ["adaptive", "nn"])
 def test_reused_explorer_decides_as_fresh_ones(name):
     # one explorer through whole episodes, then views out of order
     # (skipped, repeated, reversed, or alternating between two episodes
-    # on one graph): every decision must be a fresh explorer's, whatever
-    # per-episode state it keeps
+    # on one graph): every decision, and every plan cost, must be a fresh
+    # explorer's, whatever per-episode state it keeps.  On the grid and
+    # on the spread-3 random graph, reveals shorten distances among the
+    # vertices still to visit, so a kept suffix table must be dropped;
+    # on the random graph a stale one would change the second decision.
     bundle = build_complete_adversary(CompleteAdvSpec(4, F(3, 2)))
     graph, assignment = random_instance(9, density=0.4, seed=5)
+    spread3, spread3_assignment = random_instance(6, density=0.5,
+                                                  alpha=F(3), seed=5)
     episodes = []
     for g, source in ((bundle.graph, bundle.source),
                       (graph, FixedAssignment(assignment)),
                       (bundle.graph, FixedAssignment(
-                          random_uniform_assignment(bundle.graph, 3)))):
+                          random_uniform_assignment(bundle.graph, 3))),
+                      grid_episode_source(),
+                      (spread3, FixedAssignment(spread3_assignment))):
         views = [start_episode(g, source)]
         fresh = make_explorer(name)
         while not views[-1].is_complete:
             views.append(move(views[-1], fresh.decide(views[-1])))
         episodes.append(views[:-1])
     reused = make_explorer(name)
-    first, _, third = episodes
+    first, _, third, grid, spread3_views = episodes
     alternating = [pair[k % 2]
                    for k, pair in enumerate(zip(first, third))]
     order = (first + episodes[1] + first[::2] + first[1::2]
-             + [first[2], first[2], first[3]] + first[::-1] + alternating)
+             + [first[2], first[2], first[3]] + first[::-1] + alternating
+             + grid + grid[::-1] + spread3_views)
     for view in order:
-        assert reused.decide(view) == make_explorer(name).decide(view)
+        fresh = make_explorer(name)
+        assert reused.decide(view) == fresh.decide(view)
+        if name == "adaptive":
+            assert reused.plan_costs[-1] == fresh.plan_costs[-1]
+
+
+def test_adaptive_keeps_its_suffix_table_across_decisions(monkeypatch):
+    # on K_14 at spread 3/2 no two-edge detour (at least 2) undercuts an
+    # edge (at most 3/2), and edges among unvisited vertices stay
+    # unrevealed: the closure among the vertices still to visit never
+    # changes, so the first decision's table serves the whole episode
+    builds = []
+    build = solver._suffix_table
+
+    def counted(*args):
+        builds.append(len(args[2]))
+        return build(*args)
+
+    monkeypatch.setattr(solver, "_suffix_table", counted)
+    bundle = build_complete_adversary(CompleteAdvSpec(7, F(3, 2)))
+    explorer = make_explorer("adaptive")
+    view = run_trace(bundle.graph, bundle.source, explorer)
+    decisions = len(view.history)
+    assert len(explorer.plan_costs) == decisions == 13
+    assert builds == [12]

@@ -104,10 +104,13 @@ class TestShortestPaths:
 
     def test_rejects_nonpositive_weights(self):
         g = path_graph([1])
-        with pytest.raises(ValueError):
-            Distances(g, {0: F(0)})
+        for w in (F(0), 0, F(-1, 10**9), -1):
+            with pytest.raises(ValueError, match="nonpositive weight"):
+                Distances(g, {0: w})
         with pytest.raises(ValueError):
             Distances(g, {})
+        for w in (F(1, 10**9), 1):
+            assert Distances(g, {0: w}).row(0) == [0, 1]
 
     def test_predecessors_prefer_smaller_vertex(self):
         # two equal-cost routes 0-1-3 and 0-2-3: 3 is entered from 1

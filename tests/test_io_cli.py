@@ -191,8 +191,20 @@ class TestCli:
         ({"edges": [{"a": 0, "b": 1.7, "lower": "1", "upper": "2",
                      "actual": "1"}]},
          "edge 0: bad field 'b'"),
+        # nor is a rational: true is not 1
+        ({"edges": [{"a": 0, "b": 1, "lower": True, "upper": True,
+                     "actual": True},
+                    {"a": 1, "b": 2, "lower": "1", "upper": "2",
+                     "actual": "1"}]},
+         "edge 0: bad field 'lower'"),
+        ({"edges": [{"a": 0, "b": 1, "lower": "1", "upper": "2",
+                     "actual": False},
+                    {"a": 1, "b": 2, "lower": "1", "upper": "2",
+                     "actual": "1"}]},
+         "edge 0: bad field 'actual'"),
     ], ids=["upper-1/0", "edges-not-a-list", "actual-above-upper",
-            "actual-zero", "t-float", "n-bool", "b-float"])
+            "actual-zero", "t-float", "n-bool", "b-float", "lower-bool",
+            "actual-bool"])
     def test_malformed_instance_fields_exit_1(self, fields, message,
                                               tmp_path, capsys):
         instance = {"n": 3, "s": 0, "t": 2, "edges": [

@@ -1,13 +1,18 @@
 """Property tests over randomly generated instances."""
 import itertools
+import random
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from boundwalk import (CoverTask, Distances, FixedAssignment,
-                       brute_force_cover, make_explorer, move,
-                       optimal_cover_walk, random_instance, start_episode,
-                       walk_violations)
+from boundwalk import (AdaptiveExplorer, CoverTask, Distances,
+                       FixedAssignment, GridSpec, brute_force_cover,
+                       build_grid_trap, complete_bipartite_graph,
+                       complete_graph, make_explorer, move,
+                       optimal_cover_walk, pessimistic_weights,
+                       random_instance, start_episode, walk_violations,
+                       worst_case_cover_walk)
+from boundwalk.graph import WeightAssignment
 
 instances = st.builds(
     lambda n, seed, density: random_instance(n, density=density, seed=seed),
@@ -124,3 +129,55 @@ def test_episode_replay_is_byte_identical(instance):
             view = move(view, explorer.decide(view))
         traces.append((view.history, view.reveals))
     assert traces[0] == traces[1]
+
+
+# denominators of the actual weights: small ones, and primes near 10**5
+# and 10**12, whose reveals rescale the episode's distances (the largest
+# also past int64, into Python integers and the Python kernel)
+DENOMINATORS = {"small": (2, 3, 4), "large": (99991, 99989, 99971),
+                "huge": (999999999989, 999999999959)}
+
+
+def plan_view_graph(family, size, seed):
+    # beyond spread 2 a revealed detour can undercut an edge, which
+    # changes the closure among the vertices still to visit
+    alpha = F(3)
+    if family == "complete":
+        return complete_graph(size, alpha)
+    if family == "bipartite":
+        return complete_bipartite_graph(size, size, alpha, 0, size)
+    if family == "grid":
+        return build_grid_trap(GridSpec(4, F(7, 4)),
+                               verify_adaptive=False).graph
+    return random_instance(size + 2, density=0.5, alpha=alpha,
+                           seed=seed)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["complete", "bipartite", "grid", "random"]),
+       st.integers(3, 8), st.integers(0, 10_000),
+       st.sampled_from(sorted(DENOMINATORS)))
+def test_integer_plans_match_the_fraction_oracles(family, size, seed,
+                                                  denominators):
+    # one adaptive explorer through a whole episode, so its plans come
+    # from lowered (and rescaled) distances and reused suffix tables;
+    # each must be worst_case_cover_walk's first hop and cost, and brute
+    # force's within its reach
+    graph = plan_view_graph(family, size, seed)
+    rng = random.Random(seed)
+    actual = {}
+    for eid, e in enumerate(graph.edges):
+        d = rng.choice(DENOMINATORS[denominators])
+        actual[eid] = e.lower + (e.upper - e.lower) * F(rng.randint(0, d), d)
+    explorer = AdaptiveExplorer()
+    view = start_episode(graph, FixedAssignment(WeightAssignment(actual)))
+    while not view.is_complete:
+        hop = explorer.decide(view)
+        walk, cost = worst_case_cover_walk(graph, view, graph.end)
+        assert (hop, explorer.plan_costs[-1]) == (walk.vertices[1], cost)
+        if len(view.unvisited | {view.position, graph.end}) <= 9:
+            task = CoverTask(pessimistic_weights(graph, view.revealed),
+                             view.position, graph.end, view.unvisited)
+            bwalk, bcost = brute_force_cover(graph, task)
+            assert (hop, cost) == (bwalk.vertices[1], bcost)
+        view = move(view, hop)

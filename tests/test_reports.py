@@ -146,6 +146,10 @@ class TestSweep:
                      {"k": [3], "alpha": ["1/0"]},
                      {"k": [3.7], "alpha": ["2"]},
                      {"k": [True], "alpha": ["2"]},
+                     # nor is a rational read from a bool
+                     {"k": [3], "alpha": [True]},
+                     # an empty list would run no rows
+                     {"k": [], "alpha": ["2"]}, {"k": [3], "alpha": []},
                      # K_1026 is over the vertex limit; nothing is built
                      {"k": [3, 513], "alpha": ["2"]}):
             with pytest.raises(ValueError, match="'(k|alpha)'"):
@@ -163,6 +167,8 @@ class TestSweep:
                              ("grid", [1]), ("grid", {"k": 3}),
                              ("family", ["complete"]), ("family", None),
                              ("explorers", "adaptive"),
+                             # a config that runs nothing is refused
+                             ("explorers", []), ("seeds", []),
                              ("explorers", ["dfs"]), ("explorers", [["nn"]]),
                              ("out", 5)):
             with pytest.raises(ValueError, match=f"'{field}'"):
@@ -185,7 +191,8 @@ class TestSweep:
                            ({"density": [10**400]}, "density"),
                            ({"density": ["dense"]}, "density"),
                            ({"law": ["gaussian"]}, "law"),
-                           ({"law": [["mixed"]]}, "law")):
+                           ({"law": [["mixed"]]}, "law"),
+                           ({"alpha": [True]}, "alpha")):
             with pytest.raises(ValueError, match=f"parameter '{name}'"):
                 sweep_config(family="random", grid={"n": [5], **grid})
 
