@@ -239,11 +239,11 @@ def _suffix_table(D: list[list[int]], dest_i: int, interior: list[int]
 def _reconstruct(D: list[list[int]], origin_i: int, dest_i: int,
                  interior: list[int], remaining: int,
                  column: Callable[[int], list[int]],
-                 numpy: bool) -> tuple[int, list[int]]:
+                 from_numpy: bool) -> tuple[int, list[int]]:
     """Cost and lexicographically smallest optimal order from origin_i
     through closure index interior[j] for every bit j of `remaining`, then
     dest_i, read front to back from the table `column` (numpy-built when
-    `numpy`), whose bits follow interior's increasing order."""
+    `from_numpy`), whose bits follow interior's increasing order."""
     order = [origin_i]
     pos = origin_i
     total = 0
@@ -259,7 +259,7 @@ def _reconstruct(D: list[list[int]], origin_i: int, dest_i: int,
                 best_cost = c
                 best_j = j
         # an unset numpy cell reads as _INF; Python-kernel ints may exceed it
-        assert best_cost is not None and (best_cost < _INF or not numpy)
+        assert best_cost is not None and (best_cost < _INF or not from_numpy)
         total += D[pos][interior[best_j]]
         pos = interior[best_j]
         order.append(pos)
@@ -274,9 +274,9 @@ def _dp_order(D: list[list[int]], origin_i: int, dest_i: int,
     """Minimum cost and lexicographically smallest optimal visit order
     (as closure indices) for a fixed-endpoint path through every index of
     a non-empty `interior`; origin_i == dest_i makes it a closed tour."""
-    column, numpy = _suffix_table(D, dest_i, interior)
+    column, from_numpy = _suffix_table(D, dest_i, interior)
     return _reconstruct(D, origin_i, dest_i, interior,
-                        (1 << len(interior)) - 1, column, numpy)
+                        (1 << len(interior)) - 1, column, from_numpy)
 
 
 class SuffixTable:
