@@ -16,7 +16,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .engine import FixedAssignment, WeightSource, run_episode
 from .graph import (MAX_VERTICES, Distances, Edge, EstimateGraph, Walk,
-                    WeightAssignment, alpha_of, validate, walk_of_vertices)
+                    WeightAssignment, _as_fraction, alpha_of, validate,
+                    walk_of_vertices)
 from .solver import DEFAULT_EXACT_CAP
 
 
@@ -26,10 +27,6 @@ class InvalidSpec(ValueError):
 
 class GridTrapError(Exception):
     """Grid construction failed its build-time self-check."""
-
-
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,11 @@ class Edge(NamedTuple):
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
 
+def _as_fraction(x) -> Fraction:
+    """`x` as a Fraction; a Fraction is kept as it is."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 class EstimateGraph:
     """Simple undirected graph whose edge weights are announced as intervals.
 
@@ -60,7 +65,8 @@ class EstimateGraph:
                  start: int, end: int):
         self.vertex_count = int(vertex_count)
         self.edges: tuple[Edge, ...] = tuple(
-            Edge(e[0], e[1], Fraction(e[2]), Fraction(e[3])) for e in edges)
+            Edge(e[0], e[1], _as_fraction(e[2]), _as_fraction(e[3]))
+            for e in edges)
         self.start = int(start)
         self.end = int(end)
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]

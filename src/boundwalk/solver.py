@@ -35,15 +35,19 @@ among them: an episode builds a table only when that happens.
 
 The numpy table is layered by popcount: layer p is an (m, C(m, p)) array
 whose columns are the p-element masks in increasing order, so each layer
-is computed from the one below it alone.  Its dtype follows the closure:
-int32 when max entry * (r + 1) < 2**30, else int64; beyond 2**48 the
-Python kernel takes over.  Unset cells hold half the dtype's maximum.
+is computed from the one below it alone.  Its dtype is the narrowest the
+closure allows: int16 when max entry * (r + 1) < 2**14, int32 below
+2**30, int64 below 2**48; beyond that the Python kernel takes over.
+Unset cells hold half the dtype's maximum, above every table value, and
+an unset cell plus any entry does not overflow.
 A layer is filled in chunks of bits, each one gather of the layer-(p-1)
 columns that feed its cells: as many bits as keep a gather within 2**15
 cells, at least one (a whole layer at an interior of 18 would gather
-m^2 * C(m-1, p-1) cells, 31 MB in int32).  For interiors up to 12 this
-index plan is built once per size and cached, 0.23 MiB in all; larger
-interiors build it chunk by chunk and drop it.
+m^2 * C(m-1, p-1) cells, 31 MB in int32).  The index plan is built from
+int32 masks, and a column is read through rank[mask], the mask's column
+within its layer.  For interiors up to 12 the masks, ranks and index plan
+are built once per size and cached, 0.23 MiB in all; larger interiors
+build the plan chunk by chunk and drop it.
 """
 from __future__ import annotations
 
@@ -66,7 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_EXACT_CAP = 20
 BRUTE_FORCE_CAP = 10
 # the largest cap a solve accepts: its table has at most 20 * 2**20 cells,
-# 84 MB in int32 and 168 MB in int64
+# 42 MB in int16, 84 MB in int32 and 168 MB in int64
 MAX_EXACT_CAP = 22
 
 # numpy pays off once the mask space is non-trivial
@@ -77,6 +81,7 @@ _PLAN_CACHE_MAX = 12
 _GATHER_CELLS = 1 << 15
 # max entry * (r + 1) below these bounds every table value, and an unset
 # cell (half the dtype's max) plus any entry stays clear of overflow
+_INT16_LIMIT = 1 << 14
 _INT32_LIMIT = 1 << 30
 _INT64_LIMIT = 1 << 48
 _INF = 1 << 62
@@ -128,15 +133,24 @@ def _suffix_table_py(D: list[list[int]], dest_i: int,
 
 
 def _popcount_layers(m: int) -> list[np.ndarray]:
-    """The masks over m bits grouped by popcount, each group increasing."""
-    layers = [np.zeros(1, dtype=np.int64)]
-    empty = np.zeros(0, dtype=np.int64)
+    """The masks over m bits grouped by popcount, each group increasing;
+    int32, since an interior has at most MAX_EXACT_CAP - 2 bits."""
+    layers = [np.zeros(1, dtype=np.int32)]
+    empty = np.zeros(0, dtype=np.int32)
     for b in range(m):
         # every mask holding bit b exceeds every mask over the lower bits
         high = [layer | (1 << b) for layer in layers]
         layers = [np.concatenate(pair)
                   for pair in zip(layers + [empty], [empty] + high)]
     return layers
+
+
+def _ranks(masks: list[np.ndarray]) -> np.ndarray:
+    """rank[mask]: the column of `mask` within its popcount layer."""
+    rank = np.empty(1 << (len(masks) - 1), dtype=np.int32)
+    for layer in masks:
+        rank[layer] = np.arange(layer.size, dtype=np.int32)
+    return rank
 
 
 def _layer_chunks(prev_has: np.ndarray, has: np.ndarray,
@@ -161,36 +175,38 @@ def _index_steps(masks: list[np.ndarray]) -> Iterator[Iterator]:
     gather within _GATHER_CELLS, and at least one; chunks are generated
     as needed, so a layer's sources are never all held at once."""
     m = len(masks) - 1
-    bits = np.arange(m)[:, None]
+    bit_weights = (1 << np.arange(m, dtype=np.int32))[:, None]
     prev_has = np.eye(m, dtype=bool)
     for p in range(2, m + 1):
-        has = (masks[p] >> bits) & 1 == 1
+        has = (masks[p] & bit_weights) != 0
         size = max(1, _GATHER_CELLS // (m * comb(m - 1, p - 1)))
         yield _layer_chunks(prev_has, has, size)
         prev_has = has
 
 
 @lru_cache(maxsize=None)
-def _cached_plan(m: int) -> tuple[list[np.ndarray], list[list[tuple]]]:
-    """`_index_steps` held in full, with int16 sources (a layer of
-    at most _PLAN_CACHE_MAX bits has fewer than 2**15 columns)."""
+def _cached_plan(m: int) -> tuple[list[np.ndarray], np.ndarray,
+                                  list[list[tuple]]]:
+    """`_plan` held in full, with int16 sources (a layer of at most
+    _PLAN_CACHE_MAX bits has fewer than 2**15 columns)."""
     masks = _popcount_layers(m)
+    rank = _ranks(masks)
     plan = [[(bits, sources.astype(np.int16), targets)
              for bits, sources, targets in chunks]
             for chunks in _index_steps(masks)]
     # every solve of this size shares these arrays
-    for array in masks + [a for chunks in plan for c in chunks
-                          for a in c[1:]]:
+    for array in masks + [rank] + [a for chunks in plan for c in chunks
+                                   for a in c[1:]]:
         array.flags.writeable = False
-    return masks, plan
+    return masks, rank, plan
 
 
-def _plan(m: int) -> tuple[list[np.ndarray], Iterable[Iterable]]:
-    """Masks by popcount and the index chunks of `_index_steps`, cached for
-    interiors up to _PLAN_CACHE_MAX."""
+def _plan(m: int) -> tuple[list[np.ndarray], np.ndarray, Iterable[Iterable]]:
+    """Masks by popcount, their `_ranks` and the index chunks of
+    `_index_steps`, cached for interiors up to _PLAN_CACHE_MAX."""
     if m > _PLAN_CACHE_MAX:
         masks = _popcount_layers(m)
-        return masks, _index_steps(masks)
+        return masks, _ranks(masks), _index_steps(masks)
     return _cached_plan(m)
 
 
@@ -200,7 +216,7 @@ def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
     unset = int(np.iinfo(dtype).max) // 2
     DU = np.array([[D[a][b] for b in interior] for a in interior],
                   dtype=dtype)
-    masks, plan = _plan(m)
+    masks, rank, plan = _plan(m)
     prev = np.full((m, m), unset, dtype=dtype)
     np.fill_diagonal(prev, [D[dest_i][v] for v in interior])
     table = [None, prev]
@@ -217,9 +233,8 @@ def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
         prev = cur
 
     def column(mask: int) -> list[int]:
-        p = bin(mask).count("1")
-        c = int(np.searchsorted(masks[p], mask))
-        return [_INF if v == unset else v for v in table[p][:, c].tolist()]
+        costs = table[mask.bit_count()][:, rank[mask]].tolist()
+        return [_INF if v == unset else v for v in costs]
 
     return column
 
@@ -228,10 +243,12 @@ def _suffix_table(D: list[list[int]], dest_i: int, interior: list[int]
                   ) -> tuple[Callable[[int], list[int]], bool]:
     """The suffix table of `interior` toward dest_i, and whether numpy
     built it: from an interior of _NUMPY_MIN_INTERIOR, when the closure
-    fits its dtype."""
+    fits a dtype.  The dtype is the narrowest whose limit exceeds max
+    entry * (r + 1)."""
     reach = max(max(row) for row in D) * (len(D) + 1)
     if len(interior) >= _NUMPY_MIN_INTERIOR and reach < _INT64_LIMIT:
-        dtype = np.int32 if reach < _INT32_LIMIT else np.int64
+        dtype = (np.int16 if reach < _INT16_LIMIT
+                 else np.int32 if reach < _INT32_LIMIT else np.int64)
         return _suffix_table_np(D, dest_i, interior, dtype), True
     return _suffix_table_py(D, dest_i, interior), False
 
@@ -433,16 +450,14 @@ def pessimistic_weights(graph: EstimateGraph,
 
 def worst_case_cover_walk(graph: EstimateGraph, view: "KnowledgeView",
                           destination: int, *,
-                          cap: int = DEFAULT_EXACT_CAP,
-                          distances: Distances | None = None
+                          cap: int = DEFAULT_EXACT_CAP
                           ) -> tuple[Walk, Fraction]:
-    """Cheapest walk finishing the exploration under worst-case pricing;
-    `distances`, when given, must hold the view's pessimistic weights."""
+    """Cheapest walk finishing the exploration under worst-case pricing."""
     weights = pessimistic_weights(graph, view.revealed)
     unvisited = frozenset(range(graph.vertex_count)) - view.visited
     task = CoverTask(weights=weights, origin=view.position,
                      destination=destination, must_visit=unvisited)
-    return optimal_cover_walk(graph, task, cap=cap, distances=distances)
+    return optimal_cover_walk(graph, task, cap=cap)
 
 
 def worst_case_plan(view: "KnowledgeView", destination: int,

@@ -55,6 +55,15 @@ class TestValidate:
         g = EstimateGraph(2, [Edge(0, 1, F(0), F(1))], 0, 1)
         assert any("nonpositive" in v for v in validate(g))
 
+    def test_bounds_become_fractions(self):
+        # a Fraction bound is kept as it is; other rationals are converted
+        lower, upper = F(3, 2), F(2)
+        g = EstimateGraph(3, [Edge(0, 1, lower, upper), (1, 2, 1, "5/2")],
+                          0, 2)
+        assert g.edges[0].lower is lower and g.edges[0].upper is upper
+        assert g.edges[1] == Edge(1, 2, F(1), F(5, 2))
+        assert all(type(x) is F for e in g.edges for x in e[2:])
+
 
 class TestAlphaProfile:
     def test_uniform_intervals(self):

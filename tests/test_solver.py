@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boundwalk import (CoverTask, Distances, Edge, EstimateGraph,
                        SolverCapExceeded, brute_force_cover, complete_graph,
@@ -129,7 +130,8 @@ def test_numpy_and_python_kernels_agree(monkeypatch):
     # (non-empty mask, j), unset cells included
     import random
     cases = []
-    # interiors 6..12 run on cached plans, 13 builds its indices as it goes
+    # interiors 5..12 run on cached plans, 13 builds its indices as it goes;
+    # each closure fits int16 and is built in int32 as well
     for m in range(solver._NUMPY_MIN_INTERIOR, solver._PLAN_CACHE_MAX + 2):
         for seed in range(3 if m <= solver._PLAN_CACHE_MAX else 1):
             rng = random.Random(seed)
@@ -138,7 +140,8 @@ def test_numpy_and_python_kernels_agree(monkeypatch):
             for i in range(r):
                 for j in range(i + 1, r):
                     D[i][j] = D[j][i] = rng.randint(1, 30)
-            cases.append((D, np.int32))
+            assert 30 * (r + 1) < solver._INT16_LIMIT
+            cases += [(D, np.int16), (D, np.int32)]
     # three coprime denominators near 1000 put the scaled closure entries
     # past the int32 bound but inside the int64 guard
     primes = (997, 991, 983)
@@ -169,12 +172,69 @@ def test_numpy_and_python_kernels_agree(monkeypatch):
     assert (walk.vertices, cost) == (bwalk.vertices, bcost)
 
 
+def _complete_near(r, top, ties, seed):
+    """K_r with integer weights drawn from `ties` values in (3 top / 4, top]
+    and one weight top: the closure is the weights themselves, its largest
+    entry is top, the longest paths come near the table's reach, and
+    optimal orders tie."""
+    import random
+    rng = random.Random(seed)
+    g = complete_graph(r, F(2))
+    values = [rng.randint(top * 3 // 4 + 1, top) for _ in range(ties)]
+    w = {eid: F(rng.choice(values)) for eid in range(len(g.edges))}
+    w[rng.randrange(len(g.edges))] = F(top)
+    return g, w
+
+
+@pytest.mark.parametrize("r, top, dtype", [
+    # the largest and the smallest max entry * (r + 1) around 2**14 that
+    # each r allows: 2047 * 8 = 2**14 - 8, 2048 * 8 = 2**14,
+    # 1489 * 11 = 2**14 - 5, 1490 * 11 = 2**14 + 6
+    (7, 2047, np.int16), (7, 2048, np.int32),
+    (10, 1489, np.int16), (10, 1490, np.int32)])
+def test_int16_tier_boundary(monkeypatch, r, top, dtype):
+    g, w = _complete_near(r, top, ties=4, seed=r + top)
+    task = cover_all(g, w)
+    D = Distances(g, w).among(task.required_vertices())
+    assert max(map(max, D)) == top
+    interior = list(range(1, r - 1))
+    built = []
+    np_kernel = solver._suffix_table_np
+
+    def recording(D, dest_i, interior, dtype):
+        built.append(dtype)
+        return np_kernel(D, dest_i, interior, dtype)
+
+    monkeypatch.setattr(solver, "_suffix_table_np", recording)
+    column, from_numpy = solver._suffix_table(D, r - 1, interior)
+    assert from_numpy and built == [dtype]
+    py_column = _suffix_table_py(D, r - 1, interior)
+    for mask in range(1, 1 << len(interior)):
+        assert column(mask) == py_column(mask), f"mask {mask:b}"
+    walk, cost = optimal_cover_walk(g, task)
+    bwalk, bcost = brute_force_cover(g, task)
+    assert (walk.vertices, cost) == (bwalk.vertices, bcost)
+    assert built == [dtype, dtype]
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.integers(7, 10), reach=st.integers(1 << 13, 1 << 15),
+       ties=st.integers(1, 6), seed=st.integers(0, 10_000))
+def test_dp_matches_brute_force_near_the_int16_limit(r, reach, ties, seed):
+    # max entry * (r + 1) on both sides of _INT16_LIMIT
+    g, w = _complete_near(r, reach // (r + 1), ties, seed)
+    task = cover_all(g, w)
+    walk, cost = optimal_cover_walk(g, task)
+    bwalk, bcost = brute_force_cover(g, task)
+    assert (walk.vertices, cost) == (bwalk.vertices, bcost)
+
+
 def test_cached_plans_stay_small():
     # every cached plan together, arrays only
     total = 0
     for m in range(solver._NUMPY_MIN_INTERIOR, solver._PLAN_CACHE_MAX + 1):
-        masks, plan = solver._cached_plan(m)
-        total += sum(a.nbytes for a in masks)
+        masks, rank, plan = solver._cached_plan(m)
+        total += sum(a.nbytes for a in masks) + rank.nbytes
         total += sum(sources.nbytes + targets.nbytes for chunks in plan
                      for _, sources, targets in chunks)
     assert total < 1 << 19
