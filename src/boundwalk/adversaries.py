@@ -1,7 +1,8 @@
 """Adversarial instance builders: the recursive lower-bound family, the
 half-split adaptive adversary for complete and complete bipartite graphs,
 the fixed grid trap, and seeded random instance generation.  `FAMILIES`
-describes each family once for the command line, config stubs and sweeps.
+and `PARAMETERS` describe each family and each of its parameters once, for
+the command line, config stubs and sweeps.
 
 Adaptive sources here are stateless functions of the agent's visit history,
 so they are deterministic and replayable by construction.
@@ -16,8 +17,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .engine import FixedAssignment, WeightSource, run_episode
 from .graph import (MAX_VERTICES, Distances, Edge, EstimateGraph, Walk,
-                    WeightAssignment, _as_fraction, alpha_of, validate,
-                    walk_of_vertices)
+                    WeightAssignment, _as_fraction, alpha_of, parse_int,
+                    validate, walk_of_vertices)
 from .solver import DEFAULT_EXACT_CAP
 
 
@@ -588,14 +589,6 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
     raise ValueError(f"cannot parse exact rational from {text!r}")
 
 
-def parse_int(value: int | str) -> int:
-    """Accept an integer or a decimal integer string; floats and booleans
-    are refused rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def _parse_density(value: float | int | str) -> float:
     """A finite number in [0, 1]; booleans are refused."""
     if isinstance(value, bool) or not isinstance(value, (float, int, str)):
@@ -612,10 +605,13 @@ def _parse_law(value: str) -> str:
     return value
 
 
-_PARSERS = {"k": parse_int, "depth": parse_int, "m": parse_int,
-            "n": parse_int, "alpha": parse_fraction,
-            "density": _parse_density, "law": _parse_law}
-_DEFAULTS = {"alpha": Fraction(2), "density": 0.5, "law": "mixed"}
+# every family parameter as (parser of a JSON or command-line value,
+# default or None when required), in the order of the report columns
+PARAMETERS: dict[str, tuple[Callable, object]] = {
+    "k": (parse_int, None), "depth": (parse_int, None),
+    "alpha": (parse_fraction, Fraction(2)), "m": (parse_int, None),
+    "n": (parse_int, None), "density": (_parse_density, 0.5),
+    "law": (_parse_law, "mixed")}
 
 
 class Instance(NamedTuple):
@@ -716,18 +712,18 @@ class Family:
         """Typed parameters from JSON or command-line values; ValueError
         names a missing or malformed one, or the integer parameters whose
         instance would exceed `MAX_VERTICES` (checked before building)."""
-        raw = {**_DEFAULTS, **raw}
         parsed = {}
         for name in self.params:
-            if name not in raw:
+            parse, default = PARAMETERS[name]
+            if name not in raw and default is None:
                 raise ValueError(f"missing parameter {name!r}")
             try:
-                parsed[name] = _PARSERS[name](raw[name])
+                parsed[name] = parse(raw.get(name, default))
             except (TypeError, ValueError, ZeroDivisionError,
                     OverflowError) as exc:
                 raise ValueError(f"parameter {name!r}: {exc}") from exc
         if self.vertices(parsed) > MAX_VERTICES:
-            sizes = [p for p in self.params if _PARSERS[p] is parse_int]
+            sizes = [p for p in self.params if PARAMETERS[p][0] is parse_int]
             raise ValueError(
                 f"parameter{'s' * (len(sizes) > 1)} "
                 f"{', '.join(map(repr, sizes))}: "

@@ -41,9 +41,6 @@ class Edge(NamedTuple):
     lower: Fraction
     upper: Fraction
 
-    def other(self, v: int) -> int:
-        return self.b if v == self.a else self.a
-
     def key(self) -> tuple[int, int]:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
@@ -51,6 +48,14 @@ class Edge(NamedTuple):
 def _as_fraction(x) -> Fraction:
     """`x` as a Fraction; a Fraction is kept as it is."""
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def parse_int(value: int | str) -> int:
+    """Accept an integer or a decimal integer string; floats and booleans
+    are refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 class EstimateGraph:

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .adversaries import FAMILIES, Instance, parse_fraction, parse_int
-from .graph import MAX_VERTICES, Edge, EstimateGraph, WeightAssignment
+from .adversaries import FAMILIES, Instance, parse_fraction
+from .graph import (MAX_VERTICES, Edge, EstimateGraph, WeightAssignment,
+                    parse_int)
 
 
 def instance_to_dict(graph: EstimateGraph,

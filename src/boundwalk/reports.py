@@ -38,18 +38,19 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .adversaries import FAMILIES, parse_int
+from .adversaries import FAMILIES, PARAMETERS
 from .engine import run_episode
 from .explorers import EXPLORERS, make_explorer
-from .graph import alpha_of
-from .solver import DEFAULT_EXACT_CAP, MAX_EXACT_CAP
+from .graph import alpha_of, parse_int
+from .solver import DEFAULT_EXACT_CAP, parse_cap
 
 # one worker process per job: a bound, not a default
 MAX_JOBS = 64
 
-CSV_COLUMNS = ("family", "k", "depth", "alpha", "m", "n", "seed", "explorer",
-               "online_cost", "offline_cost", "offline_kind", "ratio",
-               "ratio_decimal", "theoretical_bound", "bound_satisfied")
+# every family parameter is a column, empty where a row's grid lacks it
+CSV_COLUMNS = ("family", *PARAMETERS, "seed", "explorer", "online_cost",
+               "offline_cost", "offline_kind", "ratio", "ratio_decimal",
+               "theoretical_bound", "bound_satisfied")
 
 
 @dataclass(frozen=True)
@@ -85,14 +86,11 @@ class SweepConfig:
             out=_config_field(data, "out", "sweep_report", _text),
             jobs=_config_field(data, "jobs", 1, parse_int),
             solver_cap=_config_field(data, "solver_cap", DEFAULT_EXACT_CAP,
-                                     parse_int),
+                                     parse_cap),
         )
         if not 1 <= config.jobs <= MAX_JOBS:
             raise ValueError(f"field 'jobs': {config.jobs} is outside "
                              f"1..{MAX_JOBS}")
-        if config.solver_cap > MAX_EXACT_CAP:
-            raise ValueError(f"field 'solver_cap': {config.solver_cap} "
-                             f"exceeds the limit of {MAX_EXACT_CAP}")
         try:
             for params in _grid_points(config):
                 FAMILIES[family].parse(params)  # a bad value fails the config
@@ -165,12 +163,10 @@ def _run_task(args: tuple) -> list[dict]:
     from one build and one offline memo (see the module docstring)."""
     config, params, seed, explorers = args
     family = FAMILIES[config.family]
+    # a grid point's keys are parameters of its family (checked at load)
     base = {c: "" for c in CSV_COLUMNS}
-    base["family"] = config.family
-    base["seed"] = str(seed)
-    for key in ("k", "depth", "alpha", "m", "n"):
-        if key in params:
-            base[key] = str(params[key])
+    base.update({k: str(v) for k, v in params.items()},
+                family=config.family, seed=str(seed))
     parsed = family.parse(params)
     try:
         graph, source, certificate = family.build(parsed, seed)

@@ -18,10 +18,10 @@ expanded by `Distances.path`.  Two epilogues follow it.  The oracles
 price the walk as a Fraction `Walk` and check it against the cost
 Fraction(total, denom).  `worst_case_plan`, the adaptive explorer's,
 stays in integers: it checks the walk's scaled step weights against the
-DP total and returns both.  The `Distances` is a fresh one of the task's
-weights, or a caller's that already holds them (the replanning explorers
-keep one per episode).  A cap above MAX_EXACT_CAP is refused before any
-work, so no table exceeds 20 * 2**20 cells.
+DP total and returns both.  The oracles build a fresh `Distances` of the
+task's weights; `worst_case_plan` takes its caller's (the replanning
+explorers keep one per episode).  `parse_cap` refuses a cap outside
+1..MAX_EXACT_CAP before any work, so no table exceeds 20 * 2**20 cells.
 A numpy kernel handles interiors of 5 or more vertices, a plain-Python
 kernel smaller ones and arbitrarily large integers; both implement the
 same recurrence and hand the reconstruction the same `column(mask) ->
@@ -62,7 +62,7 @@ from typing import (Callable, Iterable, Iterator, Mapping, Sequence,
 
 import numpy as np
 
-from .graph import Distances, EstimateGraph, Walk, walk_of_vertices
+from .graph import Distances, EstimateGraph, Walk, parse_int, walk_of_vertices
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import KnowledgeView
@@ -366,13 +366,21 @@ def _brute_force_order(D: list[list[int]], origin_i: int, dest_i: int,
     return cost(best), [origin_i, *best, dest_i]
 
 
+def parse_cap(value: int | str) -> int:
+    """The one rule for a solver cap: an integer, or a decimal integer
+    string, from 1 to MAX_EXACT_CAP; ValueError otherwise."""
+    cap = parse_int(value)
+    if not 1 <= cap <= MAX_EXACT_CAP:
+        raise ValueError(f"solver cap {cap} must lie between 1 and the "
+                         f"limit of {MAX_EXACT_CAP}")
+    return cap
+
+
 def _required(origin: int, destination: int, must_visit: frozenset[int],
               cap: int, oracle: str) -> tuple[int, ...]:
     """The sorted required vertices of a solve, refused beyond `cap`
     before any work."""
-    if cap > MAX_EXACT_CAP:
-        raise ValueError(f"solver cap {cap} exceeds the limit of "
-                         f"{MAX_EXACT_CAP}")
+    parse_cap(cap)
     required = tuple(sorted(must_visit | {origin, destination}))
     if len(required) > cap:
         raise SolverCapExceeded(
@@ -407,16 +415,14 @@ def _integer_walk(distances: Distances, required: tuple[int, ...],
 
 
 def _solve(graph: EstimateGraph, task: CoverTask, cap: int, oracle: str,
-           order_search: Callable[..., tuple[int, list[int]]],
-           distances: Distances | None = None) -> tuple[Walk, Fraction]:
-    """`_integer_walk` with the Fraction epilogue of the two oracles, which
-    differ only in `order_search`.  The distances come from `distances`
-    when given (which must hold `task.weights`), else from a fresh
-    `Distances` of them."""
+           order_search: Callable[..., tuple[int, list[int]]]
+           ) -> tuple[Walk, Fraction]:
+    """`_integer_walk` on a fresh `Distances` of `task.weights`, with the
+    Fraction epilogue of the two oracles, which differ only in
+    `order_search`."""
     required = _required(task.origin, task.destination, task.must_visit,
                          cap, oracle)
-    if distances is None:
-        distances = Distances(graph, task.weights)
+    distances = Distances(graph, task.weights)
     vertices, total = _integer_walk(distances, required, task.origin,
                                     task.destination, order_search)
     walk = walk_of_vertices(graph, vertices, task.weights)
@@ -426,12 +432,9 @@ def _solve(graph: EstimateGraph, task: CoverTask, cap: int, oracle: str,
 
 
 def optimal_cover_walk(graph: EstimateGraph, task: CoverTask, *,
-                       cap: int = DEFAULT_EXACT_CAP,
-                       distances: Distances | None = None
-                       ) -> tuple[Walk, Fraction]:
-    """Exact minimum-cost covering walk via subset DP on the metric closure
-    (taken from `distances` when it already holds `task.weights`)."""
-    return _solve(graph, task, cap, "exact oracle", _dp_order, distances)
+                       cap: int = DEFAULT_EXACT_CAP) -> tuple[Walk, Fraction]:
+    """Exact minimum-cost covering walk by subset DP on the metric closure."""
+    return _solve(graph, task, cap, "exact oracle", _dp_order)
 
 
 def brute_force_cover(graph: EstimateGraph, task: CoverTask, *,

@@ -1,10 +1,12 @@
 """Fuzzed malformed inputs through `cli.main`: instance files (`validate`,
-`oracle`, `run`), adversary configs (`run`) and sweep configs (`sweep`).
+`oracle`, `run`), adversary configs (`run`), sweep configs (`sweep`) and
+flag values (`generate`'s parameters and seed, `--solver-cap`, `--jobs`).
 
 Each example changes one field of a small valid input.  Whatever the value,
 the command must exit 0, 1 or 2 without a traceback, and an `error:` line
 must name the changed field (or, for a replaced document, just say what is
-wrong).  Sizes are small or far over the vertex limit
+wrong).  A malformed flag value must exit 1, whatever it is, and name its
+flag.  Sizes are small or far over the vertex limit
 (refused before anything is built), `jobs` is 1 or invalid (no worker pool
 starts), and `solver_cap` is at most 10 or over MAX_EXACT_CAP, so every
 example stays cheap.
@@ -137,3 +139,72 @@ def test_malformed_sweep_configs(tmp_path_factory, data):
     path = tmp / "sweep.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     check(["sweep", str(path), "--out", str(tmp / "report")], *fields)
+
+
+# flag values are text: junk as the command line would carry it, less the
+# integers (each integer below is drawn where it is out of range)
+words = junk.map(str).filter(lambda text: not text.lstrip("-").isdigit())
+# (family, valid flags) a malformed value of each flag is sent with; the
+# families' size parameters are drawn below their minimum or over the
+# vertex limit, so nothing is built
+flag_values = {
+    "k": (("complete", []), st.one_of(
+        words, st.integers(-10**6, 1), st.integers(513, 10**30))),
+    "depth": (("recursive", ["--k", "2"]), st.one_of(
+        words, st.integers(-10**6, -1), st.integers(8, 10**30))),
+    "m": (("grid", ["--alpha", "3/2"]), st.one_of(
+        words, st.integers(-10**6, 3), st.integers(33, 10**30))),
+    "n": (("random", []), st.one_of(
+        words, st.integers(-10**6, 1), st.integers(MAX_VERTICES + 1, 10**30))),
+    "alpha": (("complete", ["--k", "2"]), st.one_of(
+        words.filter(lambda text: text not in ("2.5", "3/2")),
+        st.fractions(max_value=0.99))),
+    "density": (("random", ["--n", "5"]), st.one_of(
+        words, st.floats().filter(lambda x: not 0 <= x <= 1).map(repr))),
+    "law": (("random", ["--n", "5"]), st.one_of(
+        words, st.sampled_from(["Uniform", "MIXED", "gaussian", " mixed"]))),
+    "seed": (("random", ["--n", "5"]), words),
+}
+
+
+def check_flag(argv, flag):
+    """Exit 1, no traceback, and an `error:` line naming the flag."""
+    code, err = run_cli(argv)
+    assert code == 1, err
+    assert "Traceback" not in err and "error:" in err, err
+    assert re.search(rf"\b{flag}\b", err), err
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_malformed_flag_values(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("flags")
+    command = data.draw(st.sampled_from(["generate", "run", "oracle",
+                                         "sweep"]))
+    if command == "generate":
+        flag = data.draw(st.sampled_from(sorted(flag_values)))
+        (family, base), values = flag_values[flag]
+        value = str(data.draw(values))
+        out = tmp / "out.json"
+        check_flag(["generate", family, *base, f"--{flag}", value,
+                    "--out", str(out)], flag)
+        assert not out.exists()
+    elif command in ("run", "oracle"):
+        # a cap is refused outside 1..MAX_EXACT_CAP, before the file is read
+        value = str(data.draw(st.one_of(
+            words, st.integers(-10**6, 0),
+            st.integers(MAX_EXACT_CAP + 1, 10**30))))
+        path = tmp / "in.json"
+        path.write_text(json.dumps(INSTANCE), encoding="utf-8")
+        extra = ["--explorer", "adaptive"] if command == "run" else []
+        check_flag([command, str(path), *extra, "--solver-cap", value],
+                   "solver-cap")
+    else:
+        # `jobs` is never valid here, so no worker pool starts
+        value = str(data.draw(st.one_of(words, st.integers(-10**6, 0),
+                                        st.integers(65, 10**30))))
+        path = tmp / "sweep.json"
+        path.write_text(json.dumps(SWEEP), encoding="utf-8")
+        check_flag(["sweep", str(path), "--jobs", value, "--out",
+                    str(tmp / "report")], "jobs")
+        assert not (tmp / "report.csv").exists()

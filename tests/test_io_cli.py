@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from fractions import Fraction as F
 
@@ -143,6 +144,11 @@ class TestCli:
         assert main(["run", str(tmp_path / "missing.json"),
                      "--explorer", "nn"]) == 1
         capsys.readouterr()
+        # a path that cannot be read as a file is refused the same way
+        for argv in (["run", str(tmp_path), "--explorer", "nn"],
+                     ["validate", str(tmp_path)], ["sweep", str(tmp_path)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("error: ")
         # config shapes exit 1 with a message naming the field; nothing runs
         sweep = {"family": "complete", "grid": {"k": [3]},
                  "explorers": ["nn"], "out": str(tmp_path / "rep")}
@@ -153,7 +159,10 @@ class TestCli:
                               ({**sweep, "explorers": "adaptive"},
                                "'explorers'"),
                               ({**sweep, "explorers": ["dfs"]}, "'explorers'"),
-                              ({**sweep, "solver_cap": 23}, "'solver_cap'")):
+                              ({**sweep, "solver_cap": 23}, "'solver_cap'"),
+                              # below 1 no row may run either
+                              ({**sweep, "solver_cap": 0}, "'solver_cap'"),
+                              ({**sweep, "solver_cap": -3}, "'solver_cap'")):
             bad.write_text(json.dumps(config), encoding="utf-8")
             assert main(["sweep", str(bad)]) == 1
             err = capsys.readouterr().err
@@ -275,9 +284,37 @@ class TestCli:
         assert main(["generate", "random", "--n", "12", "--seed", "1",
                      "--out", str(inst)]) == 0
         assert main(["oracle", str(inst), "--solver-cap", "6"]) == 2
-        # a cap beyond the DP's memory limit is refused before any table
-        assert main(["oracle", str(inst), "--solver-cap", "40"]) == 1
-        assert "limit of 22" in capsys.readouterr().err
+        # a cap beyond the DP's memory limit is refused before any table,
+        # and one below 1 before any solve; both exit 1, not 2
+        for cap in ("40", "0", "-3"):
+            for argv in (["oracle", str(inst)],
+                         ["run", str(inst), "--explorer", "adaptive"]):
+                assert main([*argv, "--solver-cap", cap]) == 1
+                err = capsys.readouterr().err
+                assert "error: --solver-cap: " in err
+                assert "limit of 22" in err
+
+    def test_usage_errors_exit_1(self, tmp_path, capsys):
+        # exit 2 is kept for the solver cap, so argparse's usage exit is 1
+        out = str(tmp_path / "g.json")
+        for argv, message in (
+                (["generate", "grid", "--m", "4", "--bogus", "1", "--out",
+                  out], "unrecognized arguments: --bogus"),
+                (["generate", "grid", "--m", "4"], "--out"),
+                (["generate", "torus", "--out", out], "invalid choice"),
+                (["run", out, "--explorer", "dfs"], "invalid choice"),
+                (["sweep", out, "--format", "xml"], "invalid choice"),
+                ([], "required")):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and message in err
+        assert not (tmp_path / "g.json").exists()
+        for argv in (["--help"], ["generate", "--help"]):
+            assert main(argv) == 0
+        # each family parameter's help names the families that take it
+        text = capsys.readouterr().out
+        assert re.search(r"--depth DEPTH\s+parameter of recursive\n", text)
+        assert re.search(r"--k K\s+parameter of recursive, complete\n", text)
 
     def test_missing_required_flag(self, tmp_path, capsys):
         assert main(["generate", "grid", "--out",

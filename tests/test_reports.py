@@ -212,6 +212,26 @@ class TestSweep:
         json_rows = json.loads((tmp_path / "grid_rep.json").read_text())
         assert json_rows == rows
 
+    def test_every_grid_parameter_is_a_column(self, tmp_path, capsys):
+        # four grid points that differ only in density and law
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "family": "random",
+            "grid": {"n": [6], "alpha": ["2"], "density": [0.25, "0.75"],
+                     "law": ["uniform", "mixed"]},
+            "explorers": ["nn"], "out": str(tmp_path / "rep"),
+        }), encoding="utf-8")
+        assert main(["sweep", str(cfg)]) == 0
+        text = (tmp_path / "rep.csv").read_text()
+        assert text.startswith("family,k,depth,alpha,m,n,density,law,seed,")
+        rows = rows_from_csv(text)
+        assert sorted((r["density"], r["law"]) for r in rows) == [
+            ("0.25", "mixed"), ("0.25", "uniform"),
+            ("0.75", "mixed"), ("0.75", "uniform")]
+        seed = CSV_COLUMNS.index("seed")
+        assert len({tuple(r[c] for c in CSV_COLUMNS[:seed])
+                    for r in rows}) == 4
+
 
 ALL3 = ["precompute", "adaptive", "nn"]
 
@@ -397,9 +417,9 @@ class TestGoldenBytes:
                 explorers=["precompute", "adaptive", "nn"], seeds=[0, 1]))
         assert len(rows) == 12
         assert sha256(rows_to_csv(rows)) == (
-            "4291eab7c41bf41999b232c02e334a9f659dff1375052cf4c311183fa2e5bb29")
+            "f839ec8c63906473b97bafd8bf3d08114890e3f7b161fc0bde4e6b35a66c1c8e")
         assert sha256(rows_to_json(rows)) == (
-            "e3eb76bbab5894b26875be13c6f25dd0ee579efea98c69cd5bda817141d8d778")
+            "178c3c09eb731c204d2922f42c48d83942627c8b21a48fd1b4a42bbc498e13f9")
 
     def test_adaptive_run_report_bytes(self, tmp_path, monkeypatch, capsys):
         # a relative path keeps the report's "file" field fixed

@@ -99,14 +99,22 @@ def test_cap_exceeded_is_loud():
 
 
 def test_cap_above_memory_limit_refused():
-    # a triangle needs no table; the cap alone is refused, before any work
+    # a triangle needs no table; a cap outside 1..MAX_EXACT_CAP alone is
+    # refused, before any work, as a ValueError and not SolverCapExceeded
     g = complete_graph(3, F(2))
     w = {eid: F(1) for eid in range(len(g.edges))}
     assert optimal_cover_walk(g, cover_all(g, w),
                               cap=solver.MAX_EXACT_CAP)[1] == 2
-    for cap in (solver.MAX_EXACT_CAP + 1, 40, 10**9):
+    for cap in (solver.MAX_EXACT_CAP + 1, 40, 10**9, 0, -3):
         with pytest.raises(ValueError, match="limit of 22"):
             optimal_cover_walk(g, cover_all(g, w), cap=cap)
+        with pytest.raises(ValueError, match="limit of 22"):
+            brute_force_cover(g, cover_all(g, w), cap=cap)
+    # the same rule types a cap from a config or a flag
+    for cap in (2.5, True, ["3"]):
+        with pytest.raises(ValueError, match="expected an integer"):
+            solver.parse_cap(cap)
+    assert solver.parse_cap("3") == 3
 
 
 def test_oracle_equivalence_random_instances():
