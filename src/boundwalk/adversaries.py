@@ -13,12 +13,13 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .engine import FixedAssignment, WeightSource, run_episode
 from .graph import (MAX_VERTICES, Distances, Edge, EstimateGraph, Walk,
-                    WeightAssignment, _as_fraction, alpha_of, parse_int,
-                    validate, walk_of_vertices)
+                    WeightAssignment, _as_fraction, _read_field, alpha_of,
+                    parse_int, validate, walk_of_vertices)
 from .solver import DEFAULT_EXACT_CAP
 
 
@@ -409,8 +410,8 @@ def _grid_id(m: int, row: int, col: int) -> int:
     return col * m + pos
 
 
-def build_grid_trap(spec: GridSpec, *, verify_adaptive: bool = True,
-                    solver_cap: int = DEFAULT_EXACT_CAP) -> GridBundle:
+def build_grid_trap(spec: GridSpec, *,
+                    verify_adaptive: bool = True) -> GridBundle:
     """m*m grid, uniform announcements [1, alpha], fixed actual weights.
 
     Vertex ids follow a column serpentine from the start corner, so the
@@ -463,11 +464,11 @@ def build_grid_trap(spec: GridSpec, *, verify_adaptive: bool = True,
     verified = False
     reason: str | None = None
     if verify_adaptive:
-        if n <= solver_cap:
+        if n <= DEFAULT_EXACT_CAP:
             from .explorers import AdaptiveExplorer
             report = run_episode(graph, FixedAssignment(assignment),
-                                 AdaptiveExplorer(cap=solver_cap),
-                                 oracle_cap=solver_cap)
+                                 AdaptiveExplorer(cap=DEFAULT_EXACT_CAP),
+                                 oracle_cap=DEFAULT_EXACT_CAP)
             if report.online_cost != expected_online:
                 raise GridTrapError(
                     f"trap not effective for m={m}, alpha={alpha}: "
@@ -477,7 +478,7 @@ def build_grid_trap(spec: GridSpec, *, verify_adaptive: bool = True,
         else:
             reason = (f"adaptive simulation needs exact covering-walk solves "
                       f"over up to {n} vertices, beyond the exact-solver cap "
-                      f"{solver_cap}")
+                      f"{DEFAULT_EXACT_CAP}")
     else:
         reason = "adaptive verification disabled"
     return GridBundle(graph=graph, assignment=assignment,
@@ -509,11 +510,50 @@ def _grid_certificate(graph: EstimateGraph, assignment: WeightAssignment,
 
 
 # ---------------------------------------------------------------------------
-# random instances
+# family parameters and random instances
 # ---------------------------------------------------------------------------
 
-def random_instance(n: int, *, density: float = 0.5, law: str = "mixed",
-                    alpha: Fraction = Fraction(2),
+def parse_fraction(text: str | int | Fraction) -> Fraction:
+    """Accept "p/q", integer, or exact decimal strings like "1.5", or a
+    Fraction; floats are refused as inexact, booleans as not numbers."""
+    if (isinstance(text, (int, str, Fraction))
+            and not isinstance(text, bool)):
+        return Fraction(text)
+    raise ValueError(f"cannot parse exact rational from {text!r}")
+
+
+def _parse_density(value: float | int | str) -> float:
+    """A finite number in [0, 1]; booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    density = float(value)
+    if not 0 <= density <= 1:  # NaN fails this too
+        raise ValueError(f"{value!r} is not a number in [0, 1]")
+    return density
+
+
+def _parse_law(value: str) -> str:
+    # InvalidSpec, as `random_instance` refuses an unknown law with it
+    if value not in ("uniform", "mixed"):
+        raise InvalidSpec(f"expected 'uniform' or 'mixed', got {value!r}")
+    return value
+
+
+# every family parameter as (parser of a JSON or command-line value,
+# default or None when required), in the order of the report columns;
+# alpha's range depends on the family, so the builders check it
+PARAMETERS: dict[str, tuple[Callable, object]] = {
+    "k": (partial(parse_int, minimum=2), None),
+    "depth": (partial(parse_int, minimum=0), None),
+    "alpha": (parse_fraction, Fraction(2)),
+    "m": (partial(parse_int, minimum=4), None),
+    "n": (partial(parse_int, minimum=2), None),
+    "density": (_parse_density, 0.5), "law": (_parse_law, "mixed")}
+
+
+def random_instance(n: int, *, density: float = PARAMETERS["density"][1],
+                    law: str = PARAMETERS["law"][1],
+                    alpha: Fraction = PARAMETERS["alpha"][1],
                     seed: int = 0) -> tuple[EstimateGraph, WeightAssignment]:
     """Seeded connected random instance with valid intervals and actuals.
 
@@ -526,8 +566,7 @@ def random_instance(n: int, *, density: float = 0.5, law: str = "mixed",
     alpha = _as_fraction(alpha)
     if alpha < 1:
         raise InvalidSpec("alpha must be >= 1")
-    if law not in ("uniform", "mixed"):
-        raise InvalidSpec(f"unknown interval law {law!r}")
+    _parse_law(law)
     rng = random.Random(seed)
     pairs = {(rng.randrange(v), v) for v in range(1, n)}
     rest = [(a, b) for a in range(n) for b in range(a + 1, n)
@@ -579,40 +618,6 @@ def random_uniform_assignment(graph: EstimateGraph,
 # ---------------------------------------------------------------------------
 # family table: the one description of each family
 # ---------------------------------------------------------------------------
-
-def parse_fraction(text: str | int | Fraction) -> Fraction:
-    """Accept "p/q", integer, or exact decimal strings like "1.5", or a
-    Fraction; floats are refused as inexact, booleans as not numbers."""
-    if (isinstance(text, (int, str, Fraction))
-            and not isinstance(text, bool)):
-        return Fraction(text)
-    raise ValueError(f"cannot parse exact rational from {text!r}")
-
-
-def _parse_density(value: float | int | str) -> float:
-    """A finite number in [0, 1]; booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, (float, int, str)):
-        raise ValueError(f"expected a number, got {value!r}")
-    density = float(value)
-    if not 0 <= density <= 1:  # NaN fails this too
-        raise ValueError(f"{value!r} is not a number in [0, 1]")
-    return density
-
-
-def _parse_law(value: str) -> str:
-    if value not in ("uniform", "mixed"):
-        raise ValueError(f"expected 'uniform' or 'mixed', got {value!r}")
-    return value
-
-
-# every family parameter as (parser of a JSON or command-line value,
-# default or None when required), in the order of the report columns
-PARAMETERS: dict[str, tuple[Callable, object]] = {
-    "k": (parse_int, None), "depth": (parse_int, None),
-    "alpha": (parse_fraction, Fraction(2)), "m": (parse_int, None),
-    "n": (parse_int, None), "density": (_parse_density, 0.5),
-    "law": (_parse_law, "mixed")}
-
 
 class Instance(NamedTuple):
     """A built instance; `certificate` is the offline walk (or a function of
@@ -679,13 +684,9 @@ def _random(p: dict, seed: int, verify_adaptive: bool = False) -> Instance:
     return Instance(graph, FixedAssignment(assignment), None)
 
 
-# Vertex counts `build` would make from typed parameters, for the limit
-# check.  Values the builders refuse themselves (k < 2, m < 4, ...) only
-# have to pass it: with k < 2 the recursive count would never grow.
+# Vertex counts `build` makes from typed parameters, for the limit check.
 
 def _recursive_vertices(p: dict) -> int:
-    if p["k"] < 2:
-        return 0
     # for k >= 2 the count starts at 3 and more than doubles each level, so
     # past depth d = MAX_VERTICES.bit_length() it exceeds 2^d > MAX_VERTICES:
     # the comparison stays exact and a huge depth never loops
@@ -712,18 +713,11 @@ class Family:
         """Typed parameters from JSON or command-line values; ValueError
         names a missing or malformed one, or the integer parameters whose
         instance would exceed `MAX_VERTICES` (checked before building)."""
-        parsed = {}
-        for name in self.params:
-            parse, default = PARAMETERS[name]
-            if name not in raw and default is None:
-                raise ValueError(f"missing parameter {name!r}")
-            try:
-                parsed[name] = parse(raw.get(name, default))
-            except (TypeError, ValueError, ZeroDivisionError,
-                    OverflowError) as exc:
-                raise ValueError(f"parameter {name!r}: {exc}") from exc
+        parsed = {name: _read_field(raw, name, *PARAMETERS[name],
+                                    noun="parameter")
+                  for name in self.params}
         if self.vertices(parsed) > MAX_VERTICES:
-            sizes = [p for p in self.params if PARAMETERS[p][0] is parse_int]
+            sizes = [p for p in self.params if type(parsed[p]) is int]
             raise ValueError(
                 f"parameter{'s' * (len(sizes) > 1)} "
                 f"{', '.join(map(repr, sizes))}: "
@@ -740,7 +734,7 @@ FAMILIES: dict[str, Family] = {
     "bipartite": Family(("n", "alpha"), True, _bipartite,
                         lambda p: 2 * p["n"], _half_split_bound),
     "grid": Family(("m", "alpha"), False, _grid,
-                   lambda p: max(p["m"], 0) ** 2),
+                   lambda p: p["m"] ** 2),
     "random": Family(("n", "alpha", "density", "law"), False, _random,
                      lambda p: p["n"]),
 }

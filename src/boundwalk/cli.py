@@ -2,12 +2,13 @@
 oracle queries, and instance validation.
 
 Flag values stay strings until the module that owns them types them, as it
-types config values.  Exit codes: 0 ok; 1 invalid input (a malformed flag
-value, a usage error, an unreadable path, a refused file or config); 2
-exact-solver cap exceeded, and nothing else; 3 internal invariant
-violation.  A sweep writes its reports whatever its rows hold, then exits 2
-when every failed row exceeded the solver cap and 1 when any other row
-failed.
+types config values; `instance_io` reads and refuses every file, so no
+handler asks what kind of file it got.  Exit codes: 0 ok; 1 invalid input
+(a malformed flag value, a usage error, an unreadable path, a refused
+file or config); 2 exact-solver cap exceeded, and nothing else; 3
+internal invariant violation.  A sweep writes its reports whatever its
+rows hold, then exits 2 when every failed row exceeded the solver cap and
+1 when any other row failed.
 """
 from __future__ import annotations
 
@@ -18,10 +19,10 @@ import warnings
 from pathlib import Path
 
 from . import adversaries as adv
-from .engine import EngineError, FixedAssignment, run_episode
+from .engine import EngineError, run_episode
 from .explorers import EXPLORERS, make_explorer
 from .graph import parse_int, validate
-from .instance_io import (AdversaryConfig, load_run_input,
+from .instance_io import (load_instance, load_run, read_json,
                           save_adversary_config, save_instance)
 from .reports import SweepConfig, run_sweep, write_reports
 from .solver import (CoverTask, DEFAULT_EXACT_CAP, SolverCapExceeded,
@@ -95,7 +96,7 @@ def _cmd_generate(args) -> int:
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     if family.adaptive:
-        save_adversary_config(args.out, AdversaryConfig(args.family, params))
+        save_adversary_config(args.out, args.family, params)
     else:
         save_instance(args.out, graph, source.assignment)
     print(f"wrote {args.out}")
@@ -104,18 +105,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     cap = _flag("--solver-cap", parse_cap, args.solver_cap)
-    kind, loaded, extra = load_run_input(args.instance)
-    if kind == "instance":
-        graph, assignment = loaded, extra
-        if assignment is None:
-            print("instance has no actual weights; run it against an "
-                  "adversary config instead", file=sys.stderr)
-            return EXIT_INVALID
-        source, certificate, config = FixedAssignment(assignment), None, {}
-    else:
-        (graph, source, certificate), config = loaded, extra.to_dict()
-    instance_desc = {"file": args.instance, "n": graph.vertex_count,
-                     **config}
+    (graph, source, certificate), instance_desc = load_run(args.instance)
     problems = validate(graph)
     if problems:
         print(f"invalid instance: {problems}", file=sys.stderr)
@@ -133,11 +123,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if isinstance(data, dict):  # from_dict refuses any other shape
-        for key in ("jobs", "out"):  # a given flag overrides the field
-            if getattr(args, key) is not None:
-                data[key] = getattr(args, key)
+    data = read_json(args.config)
+    for key in ("jobs", "out"):  # a given flag overrides the field
+        if getattr(args, key) is not None:
+            data[key] = getattr(args, key)
     config = SweepConfig.from_dict(data)
     rows = run_sweep(config)
     csv_path, json_path = write_reports(rows, config.out,
@@ -155,11 +144,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cap = _flag("--solver-cap", parse_cap, args.solver_cap)
-    kind, graph, assignment = load_run_input(args.instance)
-    if kind != "instance" or assignment is None:
-        print("oracle needs an instance file with actual weights",
-              file=sys.stderr)
-        return EXIT_INVALID
+    graph, assignment = load_instance(args.instance, actual=True)
     problems = validate(graph)
     if problems:
         print(f"invalid instance: {problems}", file=sys.stderr)
@@ -178,10 +163,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    kind, graph, _ = load_run_input(args.instance)
-    if kind != "instance":
-        print("validate expects an instance file", file=sys.stderr)
-        return EXIT_INVALID
+    graph, _ = load_instance(args.instance)
     problems = validate(graph)
     if problems:
         for p in problems:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,12 +50,31 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def parse_int(value: int | str) -> int:
-    """Accept an integer or a decimal integer string; floats and booleans
-    are refused rather than truncated."""
+def parse_int(value: int | str, minimum: int | None = None) -> int:
+    """Accept an integer or a decimal integer string, of at least `minimum`
+    when one is given; floats and booleans are refused rather than
+    truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"expected an integer, got {value!r}")
+    if minimum is not None and int(value) < minimum:
+        raise ValueError(f"expected an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _read_field(data: Mapping, key: str, parse: Callable, default=None, *,
+                noun: str = "field"):
+    """parse(data[key]), or parse(default) when the key is absent and a
+    default is given; ValueError names the missing or malformed `noun`."""
+    if key in data:
+        value = data[key]
+    elif default is not None:
+        value = default
+    else:
+        raise ValueError(f"missing {noun} {key!r}")
+    try:
+        return parse(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad {noun} {key!r}: {exc}") from exc
 
 
 class EstimateGraph:

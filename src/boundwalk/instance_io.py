@@ -1,21 +1,37 @@
-"""JSON serialization for instances and adversary configs.
+"""JSON files in and out: instance files and adaptive adversary configs.
 
 Instance files carry the graph, the announced intervals, and optionally the
 actual weights ("actual" is absent when an adaptive adversary supplies
 them).  Rationals are serialized as exact "p/q" strings.  Adaptive
 adversaries cannot be serialized as plain instances, so they are referenced
-by family name plus parameters in a config stub.
+by family name plus parameters in a config stub.  Every file the command
+line reads goes through `read_json`, and a refused file or field is a
+ValueError naming it: `load_instance` reads instance files, `load_run`
+what `run` plays.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .adversaries import FAMILIES, Instance, parse_fraction
+from .adversaries import FAMILIES, Family, Instance, parse_fraction
+from .engine import FixedAssignment
 from .graph import (MAX_VERTICES, Edge, EstimateGraph, WeightAssignment,
-                    parse_int)
+                    _read_field, parse_int)
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object in the file at `path`; ValueError for malformed
+    JSON, and naming the path for text nested too deeply to parse or a
+    value that is not an object."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return data
 
 
 def instance_to_dict(graph: EstimateGraph,
@@ -31,17 +47,6 @@ def instance_to_dict(graph: EstimateGraph,
             "edges": edges}
 
 
-def _field(obj: dict, key: str, parse, where: str = ""):
-    """parse(obj[key]); ValueError names a missing or malformed field and,
-    via `where`, the edge it belongs to."""
-    try:
-        return parse(obj[key])
-    except KeyError:
-        raise ValueError(f"{where}missing field {key!r}") from None
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{where}bad field {key!r}: {exc}") from exc
-
-
 def _list(value) -> list:
     if not isinstance(value, list):
         raise ValueError(f"expected a list, got {value!r}")
@@ -51,35 +56,35 @@ def _list(value) -> list:
 def instance_from_dict(data: dict) -> tuple[EstimateGraph,
                                             WeightAssignment | None]:
     """Graph and optional actual weights; ValueError names a missing or
-    malformed field, an actual weight outside its edge's interval, or a
-    vertex count above MAX_VERTICES (checked before anything is built)."""
-    n, start, end = (_field(data, key, parse_int) for key in ("n", "s", "t"))
+    malformed field (and its edge), an actual weight outside its edge's
+    interval, or a vertex count above MAX_VERTICES (checked before anything
+    is built)."""
+    n, start, end = (_read_field(data, key, parse_int)
+                     for key in ("n", "s", "t"))
     if n > MAX_VERTICES:
         raise ValueError(f"bad field 'n': {n} vertices exceed the limit of "
                          f"{MAX_VERTICES}")
     edges = []
     actuals: dict[int, Fraction] = {}
-    have_actuals = True
-    for eid, entry in enumerate(_field(data, "edges", _list)):
-        if not isinstance(entry, dict):
-            raise ValueError(f"bad field 'edges': entry {eid} is {entry!r}, "
-                             f"not an object")
-        where = f"edge {eid}: "
-        a, b = (_field(entry, key, parse_int, where) for key in ("a", "b"))
-        lower, upper = (_field(entry, key, parse_fraction, where)
-                        for key in ("lower", "upper"))
-        edges.append(Edge(a, b, lower, upper))
-        if "actual" in entry:
-            actual = _field(entry, "actual", parse_fraction, where)
-            if not lower <= actual <= upper:
-                raise ValueError(f"{where}actual {actual} outside its "
-                                 f"interval [{lower}, {upper}]")
-            actuals[eid] = actual
-        else:
-            have_actuals = False
+    for eid, entry in enumerate(_read_field(data, "edges", _list)):
+        try:  # every message names the edge
+            if not isinstance(entry, dict):
+                raise ValueError(f"expected an object, got {entry!r}")
+            a, b = (_read_field(entry, key, parse_int) for key in ("a", "b"))
+            lower, upper = (_read_field(entry, key, parse_fraction)
+                            for key in ("lower", "upper"))
+            edges.append(Edge(a, b, lower, upper))
+            if "actual" in entry:
+                actual = _read_field(entry, "actual", parse_fraction)
+                if not lower <= actual <= upper:
+                    raise ValueError(f"actual {actual} outside its interval "
+                                     f"[{lower}, {upper}]")
+                actuals[eid] = actual
+        except ValueError as exc:
+            raise ValueError(f"edge {eid}: {exc}") from exc
     graph = EstimateGraph(n, edges, start, end)
-    assignment = WeightAssignment(actuals) if have_actuals and edges else None
-    return graph, assignment
+    complete = edges and len(actuals) == len(edges)
+    return graph, WeightAssignment(actuals) if complete else None
 
 
 def save_instance(path: str | Path, graph: EstimateGraph,
@@ -89,48 +94,49 @@ def save_instance(path: str | Path, graph: EstimateGraph,
                           encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class AdversaryConfig:
-    """Named adaptive adversary plus its parameters."""
-
-    family: str
-    params: dict
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, **self.params}
-
-
-def save_adversary_config(path: str | Path, config: AdversaryConfig) -> None:
+def save_adversary_config(path: str | Path, family: str,
+                          params: dict) -> None:
     # default=str writes rational parameters as exact "p/q" strings
-    Path(path).write_text(json.dumps(config.to_dict(), indent=1,
+    Path(path).write_text(json.dumps({"family": family, **params}, indent=1,
                                      sort_keys=True, default=str) + "\n",
                           encoding="utf-8")
 
 
-def build_from_config(config: AdversaryConfig) -> Instance:
-    """Instantiate the adaptive adversary a config stub refers to."""
-    family = (FAMILIES.get(config.family)
-              if isinstance(config.family, str) else None)
+def load_instance(path: str | Path, *, actual: bool = False
+                  ) -> tuple[EstimateGraph, WeightAssignment | None]:
+    """Graph and actual weights (None when it carries none) of an instance
+    file; ValueError when the file is not one or, with `actual`, lacks
+    actual weights."""
+    return _instance(path, read_json(path), actual)
+
+
+def _instance(path: str | Path, data: dict, actual: bool):
+    if "edges" not in data:
+        raise ValueError(f"{path}: not an instance file (no 'edges')")
+    graph, assignment = instance_from_dict(data)
+    if actual and assignment is None:
+        raise ValueError(f"{path}: needs an actual weight on every edge")
+    return graph, assignment
+
+
+def _adaptive_family(name) -> Family:
+    family = FAMILIES.get(name) if isinstance(name, str) else None
     if family is None or not family.adaptive:
-        raise ValueError(f"field 'family': unknown adversary family "
-                         f"{config.family!r}")
-    return family.build(family.parse(config.params), 0)
+        raise ValueError(f"unknown adversary family {name!r}")
+    return family
 
 
-def load_run_input(path: str | Path):
-    """Load either an instance file or an adversary config.
-
-    Returns ("instance", graph, assignment) or ("adversary", Instance, config).
-    """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    if "edges" in data:
-        graph, assignment = instance_from_dict(data)
-        return "instance", graph, assignment
-    if "family" in data:
-        params = {k: v for k, v in data.items() if k != "family"}
-        config = AdversaryConfig(data["family"], params)
-        return "adversary", build_from_config(config), config
-    raise ValueError(f"{path}: neither an instance file nor an adversary "
-                     f"config")
+def load_run(path: str | Path) -> tuple[Instance, dict]:
+    """What `run` plays, from an instance file with actual weights or an
+    adaptive adversary config, and its report's `instance` block: the path,
+    the vertex count and, for a config, the config's own fields as
+    written."""
+    data = read_json(path)
+    if "family" in data and "edges" not in data:
+        family = _read_field(data, "family", _adaptive_family)
+        instance = family.build(family.parse(data), 0)
+        return instance, {"file": str(path), "n": instance.graph.vertex_count,
+                          **data}
+    graph, assignment = _instance(path, data, actual=True)
+    instance = Instance(graph, FixedAssignment(assignment), None)
+    return instance, {"file": str(path), "n": graph.vertex_count}

@@ -41,7 +41,7 @@ from typing import Sequence
 from .adversaries import FAMILIES, PARAMETERS
 from .engine import run_episode
 from .explorers import EXPLORERS, make_explorer
-from .graph import alpha_of, parse_int
+from .graph import _read_field, alpha_of, parse_int
 from .solver import DEFAULT_EXACT_CAP, parse_cap
 
 # one worker process per job: a bound, not a default
@@ -70,44 +70,32 @@ class SweepConfig:
         if not isinstance(data, dict):
             raise ValueError(f"a sweep config is a JSON object, not "
                              f"{type(data).__name__}")
-        family = _config_field(data, "family", None, _family_name)
-        grid = _config_field(data, "grid", None, _grid_lists)
+        family = _read_field(data, "family", _family_name)
+        grid = _read_field(data, "grid", _grid_lists)
         unknown = set(grid) - set(FAMILIES[family].params)
         if unknown:
-            raise ValueError(f"field 'grid': family {family!r} does not take "
-                             f"parameters {sorted(unknown)}")
+            raise ValueError(f"bad field 'grid': family {family!r} does not "
+                             f"take parameters {sorted(unknown)}")
         config = SweepConfig(
             family=family,
             grid=grid,
-            explorers=_config_field(data, "explorers",
-                                    ["precompute", "adaptive", "nn"],
-                                    _explorer_names),
-            seeds=_config_field(data, "seeds", [0], _int_tuple),
-            out=_config_field(data, "out", "sweep_report", _text),
-            jobs=_config_field(data, "jobs", 1, parse_int),
-            solver_cap=_config_field(data, "solver_cap", DEFAULT_EXACT_CAP,
-                                     parse_cap),
+            explorers=_read_field(data, "explorers", _explorer_names,
+                                  ["precompute", "adaptive", "nn"]),
+            seeds=_read_field(data, "seeds", _int_tuple, [0]),
+            out=_read_field(data, "out", _text, "sweep_report"),
+            jobs=_read_field(data, "jobs", parse_int, 1),
+            solver_cap=_read_field(data, "solver_cap", parse_cap,
+                                   DEFAULT_EXACT_CAP),
         )
         if not 1 <= config.jobs <= MAX_JOBS:
-            raise ValueError(f"field 'jobs': {config.jobs} is outside "
+            raise ValueError(f"bad field 'jobs': {config.jobs} is outside "
                              f"1..{MAX_JOBS}")
         try:
             for params in _grid_points(config):
                 FAMILIES[family].parse(params)  # a bad value fails the config
         except ValueError as exc:
-            raise ValueError(f"field 'grid': {exc}") from exc
+            raise ValueError(f"bad field 'grid': {exc}") from exc
         return config
-
-
-def _config_field(data: dict, key: str, default, parse):
-    """parse(data[key]), or parse(default) when the key is absent and the
-    default is not None; ValueError names the field."""
-    if key not in data and default is None:
-        raise ValueError(f"missing field {key!r}")
-    try:
-        return parse(data.get(key, default))
-    except ValueError as exc:
-        raise ValueError(f"field {key!r}: {exc}") from exc
 
 
 def _family_name(value) -> str:

@@ -269,6 +269,7 @@ class TestFamilyVertexLimit:
         for k in (2, 3, 10**18):
             with pytest.raises(ValueError, match=str(MAX_VERTICES)):
                 spec.parse({"k": k, "depth": 10**18})
-        # values the builder refuses count as no vertices, and never loop
+        # sizes the builder refuses are refused while parsing, named
         for k in (-1, 0, 1):
-            assert spec.parse({"k": k, "depth": 10**18})
+            with pytest.raises(ValueError, match="'k'"):
+                spec.parse({"k": k, "depth": 10**18})

@@ -9,10 +9,9 @@ from boundwalk import Edge, EstimateGraph, random_instance
 from boundwalk.adversaries import FAMILIES
 from boundwalk.cli import main
 from boundwalk.graph import MAX_VERTICES, WeightAssignment
-from boundwalk.instance_io import (AdversaryConfig, build_from_config,
-                                   instance_from_dict, instance_to_dict,
-                                   load_run_input, parse_fraction,
-                                   save_instance)
+from boundwalk.instance_io import (instance_from_dict, instance_to_dict,
+                                   load_instance, load_run, parse_fraction,
+                                   save_adversary_config, save_instance)
 
 # generate flags, the same parameters as a sweep grid point, and the seed;
 # complete at alpha=3 is clamped to 2 by its builder
@@ -35,8 +34,8 @@ class TestInstanceFormat:
         graph, assignment = random_instance(8, density=0.5, seed=4)
         path = tmp_path / "inst.json"
         save_instance(path, graph, assignment)
-        kind, loaded, loaded_assignment = load_run_input(path)
-        assert kind == "instance"
+        loaded, loaded_assignment = load_instance(path)
+        assert "family" not in load_run(path)[1]  # run reads an instance
         assert instance_to_dict(loaded, loaded_assignment) == \
             instance_to_dict(graph, assignment)
 
@@ -63,18 +62,16 @@ class TestInstanceFormat:
 
     @pytest.mark.parametrize("family", sorted(GENERATE_CASES))
     def test_adversary_config_round_trip(self, family, tmp_path, capsys):
-        """`generate` then `load_run_input` gives the instance a sweep row
-        builds from the same parameters."""
+        """`generate` then `load_run` gives the instance a sweep row builds
+        from the same parameters."""
         flags, params, seed = GENERATE_CASES[family]
         path = tmp_path / f"{family}.json"
         assert main(["generate", family, *flags, "--out", str(path)]) == 0
-        kind, loaded, extra = load_run_input(path)
+        (loaded_graph, loaded_source, _), block = load_run(path)
         entry = FAMILIES[family]
         graph, source, _ = entry.build(entry.parse(params), seed)
         if entry.adaptive:
-            assert kind == "adversary"
-            assert extra.family == family
-            loaded_graph, loaded_source, _ = loaded
+            assert block["family"] == family
             # adaptive weights compared along one fixed visit order
             order = tuple(range(graph.vertex_count))
             actuals = [loaded_source.complete(eid, order)
@@ -82,22 +79,23 @@ class TestInstanceFormat:
             expected = [source.complete(eid, order)
                         for eid in range(len(graph.edges))]
         else:
-            assert kind == "instance"
-            loaded_graph = loaded
-            actuals = extra.weights
+            assert "family" not in block  # an instance file
+            actuals = loaded_source.assignment.weights
             expected = source.assignment.weights
         assert loaded_graph.edges == graph.edges
         assert (loaded_graph.start, loaded_graph.end) == (graph.start,
                                                           graph.end)
         assert actuals == expected
 
-    def test_config_stub_names_an_adaptive_family(self):
-        bundle = build_from_config(AdversaryConfig("complete",
-                                                   {"k": 4, "alpha": "2"}))
-        assert bundle.graph.vertex_count == 8
+    def test_config_stub_names_an_adaptive_family(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        save_adversary_config(path, "complete", {"k": 4, "alpha": "2"})
+        (graph, _, _), _ = load_run(path)
+        assert graph.vertex_count == 8
         for family in ("mystery", "grid"):
+            save_adversary_config(path, family, {"m": 4})
             with pytest.raises(ValueError):
-                build_from_config(AdversaryConfig(family, {"m": 4}))
+                load_run(path)
 
 
 class TestCli:
@@ -127,9 +125,9 @@ class TestCli:
         cfg = tmp_path / "rec.json"
         assert main(["generate", "recursive", "--k", "2", "--depth", "1",
                      "--alpha", "2", "--out", str(cfg)]) == 0
-        kind, bundle, _ = load_run_input(cfg)
-        assert kind == "adversary"
-        assert bundle.graph.vertex_count == 8
+        (graph, _, _), block = load_run(cfg)
+        assert block["family"] == "recursive"
+        assert graph.vertex_count == 8
 
     def test_exit_code_invalid_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -332,3 +330,47 @@ class TestCli:
         path = tmp_path / "noact.json"
         save_instance(path, g, None)
         assert main(["run", str(path), "--explorer", "nn"]) == 1
+        # refused through main, as every other file, naming what is missing
+        assert main(["oracle", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert line.startswith("error: ") and "actual weight" in line
+
+    def test_deeply_nested_json_refused(self, tmp_path, capsys):
+        # json.loads raises RecursionError on this; every reader refuses it
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000, encoding="utf-8")
+        for argv in (["validate", str(deep)], ["oracle", str(deep)],
+                     ["run", str(deep), "--explorer", "nn"],
+                     ["sweep", str(deep), "--out", str(tmp_path / "rep")]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(deep) in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "rep.csv").exists()
+
+    def test_bipartite_size_refused_naming_n(self, tmp_path, capsys):
+        # bipartite takes n, not k, so the refusal names n
+        out = tmp_path / "b.json"
+        assert main(["generate", "bipartite", "--n", "1", "--out",
+                     str(out)]) == 1
+        assert "bad parameter 'n'" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "bipartite", "n": 1}),
+                       encoding="utf-8")
+        assert main(["run", str(cfg), "--explorer", "nn"]) == 1
+        assert "bad parameter 'n'" in capsys.readouterr().err
+
+    def test_sweep_refuses_sizes_at_load(self, tmp_path, capsys):
+        # refused before any row runs, so no report is written
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "complete", "grid": {"k": [1]},
+                                   "out": str(tmp_path / "rep")}),
+                       encoding="utf-8")
+        assert main(["sweep", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "'grid'" in err and "bad parameter 'k'" in err
+        assert not (tmp_path / "rep.csv").exists()
+        assert not (tmp_path / "rep.json").exists()
