@@ -106,10 +106,8 @@ def _cmd_generate(args) -> int:
 def _cmd_run(args) -> int:
     cap = _flag("--solver-cap", parse_cap, args.solver_cap)
     (graph, source, certificate), instance_desc = load_run(args.instance)
-    problems = validate(graph)
-    if problems:
-        print(f"invalid instance: {problems}", file=sys.stderr)
-        return EXIT_INVALID
+    if problems := validate(graph):
+        raise ValueError(f"invalid instance: {'; '.join(problems)}")
     explorer = make_explorer(args.explorer, cap=cap)
     report = run_episode(graph, source, explorer, oracle_cap=cap,
                          certificate=certificate, instance=instance_desc)
@@ -145,10 +143,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle(args) -> int:
     cap = _flag("--solver-cap", parse_cap, args.solver_cap)
     graph, assignment = load_instance(args.instance, actual=True)
-    problems = validate(graph)
-    if problems:
-        print(f"invalid instance: {problems}", file=sys.stderr)
-        return EXIT_INVALID
+    if problems := validate(graph):
+        raise ValueError(f"invalid instance: {'; '.join(problems)}")
     task = CoverTask(weights=assignment.weights, origin=graph.start,
                      destination=graph.end,
                      must_visit=frozenset(range(graph.vertex_count)))

@@ -150,39 +150,36 @@ class Walk:
     def cost(self) -> Fraction:
         return sum(self.step_costs, Fraction(0))
 
-    def __len__(self) -> int:
-        return len(self.step_costs)
-
 
 def validate(graph: EstimateGraph) -> list[str]:
-    """Return every violated graph invariant; empty list iff valid."""
+    """Every violated invariant, naming its instance field; empty iff valid."""
     violations: list[str] = []
     n = graph.vertex_count
     if n < 2:
-        violations.append("graph must have at least two vertices")
-    for v, name in ((graph.start, "start"), (graph.end, "end")):
+        violations.append(f"n = {n}: a graph needs at least two vertices")
+    for v, name in ((graph.start, "s"), (graph.end, "t")):
         if not 0 <= v < n:
-            violations.append(f"{name} vertex {v} out of range")
+            violations.append(f"{name} = {v} out of range for n = {n}")
     if graph.start == graph.end:
-        violations.append("start and end vertices must be distinct")
+        violations.append(f"s and t must be distinct, both are {graph.start}")
     seen: set[tuple[int, int]] = set()
     for eid, e in enumerate(graph.edges):
         if not (0 <= e.a < n and 0 <= e.b < n):
-            violations.append(f"edge {eid} has endpoint out of range")
+            violations.append(f"edge {eid}: a, b = {e.a}, {e.b} out of range")
             continue
         if e.a == e.b:
-            violations.append(f"edge {eid} is a self-loop")
+            violations.append(f"edge {eid}: a self-loop, a = b = {e.a}")
         key = e.key()
         if key in seen:
-            violations.append(f"duplicate edge {key}")
+            violations.append(f"edge {eid}: duplicate (a, b) = {key}")
         seen.add(key)
         if e.lower <= 0:
-            violations.append(f"edge {eid} has nonpositive lower bound")
+            violations.append(f"edge {eid}: nonpositive lower = {e.lower}")
         if e.lower > e.upper:
-            violations.append(f"edge {eid} interval inverted")
+            violations.append(f"edge {eid}: interval inverted, lower > upper")
     if not violations or all("out of range" not in v for v in violations):
         if n >= 1 and not _connected(graph):
-            violations.append("disconnected")
+            violations.append(f"edges leave n = {n} vertices disconnected")
     return violations
 
 
@@ -205,8 +202,15 @@ def _connected(graph: EstimateGraph) -> bool:
 
 
 def alpha_of(graph: EstimateGraph) -> AlphaProfile:
-    """Largest u(e)/l(e) over all edges, with the uniform-interval flag."""
-    alpha = max(e.upper / e.lower for e in graph.edges)
+    """Largest u(e)/l(e) over all edges, with the uniform-interval flag;
+    ratios compare by integer cross-multiplication (lower bounds > 0)."""
+    top, bottom = 0, 1
+    for e in graph.edges:
+        num = e.upper.numerator * e.lower.denominator
+        den = e.upper.denominator * e.lower.numerator
+        if num * bottom > top * den:
+            top, bottom = num, den
+    alpha = Fraction(top, bottom)
     uniform = all(e.lower == 1 and e.upper == alpha for e in graph.edges)
     return AlphaProfile(alpha=alpha, uniform=uniform)
 

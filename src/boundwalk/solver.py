@@ -40,14 +40,15 @@ closure allows: int16 when max entry * (r + 1) < 2**14, int32 below
 2**30, int64 below 2**48; beyond that the Python kernel takes over.
 Unset cells hold half the dtype's maximum, above every table value, and
 an unset cell plus any entry does not overflow.
-A layer is filled in chunks of bits, each one gather of the layer-(p-1)
-columns that feed its cells: as many bits as keep a gather within 2**15
-cells, at least one (a whole layer at an interior of 18 would gather
-m^2 * C(m-1, p-1) cells, 31 MB in int32).  The index plan is built from
-int32 masks, and a column is read through rank[mask], the mask's column
-within its layer.  For interiors up to 12 the masks, ranks and index plan
-are built once per size and cached, 0.23 MiB in all; larger interiors
-build the plan chunk by chunk and drop it.
+Each layer is one min-plus step: y[i, S] = min over every row j of
+prev[j, S] + D[j, i], one broadcast add and one min over the rows, for
+every column S below.  The masks holding i take y[i] at the columns
+lacking i, in order (dropping bit i keeps mask order); the other sums
+stay inside the dtype by the unset rule and are dropped.  A broadcast
+holds at most 2**17 cells, splitting a layer by target rows, then a row
+by columns; no index plan is built.  Up to interior 12 the masks, ranks
+(rank[mask]: a mask's column in its layer) and per-layer bit masks are
+cached, 0.23 MiB in all; larger interiors build bit masks layer by layer.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, inf
+from math import inf
 from operator import itemgetter
 from typing import (Callable, Iterable, Iterator, Mapping, Sequence,
                     TYPE_CHECKING)
@@ -75,10 +76,11 @@ MAX_EXACT_CAP = 22
 
 # numpy pays off once the mask space is non-trivial
 _NUMPY_MIN_INTERIOR = 5
-# interiors up to this size keep their kernel index plan cached
+# interiors up to this size keep their kernel masks cached
 _PLAN_CACHE_MAX = 12
-# cells one kernel gather may hold, unless a single bit needs more
-_GATHER_CELLS = 1 << 15
+# cells of one min-plus broadcast, unless a single row of m cells is more:
+# a layer's target rows are split first, then its columns
+_BLOCK_CELLS = 1 << 17
 # max entry * (r + 1) below these bounds every table value, and an unset
 # cell (half the dtype's max) plus any entry stays clear of overflow
 _INT16_LIMIT = 1 << 14
@@ -153,61 +155,53 @@ def _ranks(masks: list[np.ndarray]) -> np.ndarray:
     return rank
 
 
-def _layer_chunks(prev_has: np.ndarray, has: np.ndarray,
-                  size: int) -> Iterator:
-    # dropping bit i keeps mask order, so the sources of the layer-p masks
-    # holding i are the layer-(p-1) masks lacking i, in order
-    width = prev_has.shape[1]
-    for lo in range(0, len(has), size):
-        bits = slice(lo, lo + size)
-        lacking = ~prev_has[bits]
-        # flat positions, row by row; row k starts k * width further on
-        sources = np.flatnonzero(lacking).reshape(len(lacking), -1)
-        sources[1:] -= np.arange(1, len(lacking))[:, None] * width
-        yield bits, sources, has[bits]
-
-
-def _index_steps(masks: list[np.ndarray]) -> Iterator[Iterator]:
-    """Per layer p >= 2, (bits, sources, targets) chunks: for each bit i
-    in the `bits` slice, a row of the layer-(p-1) columns that feed the
-    layer-p masks holding i, and a row of `targets` marking those masks
-    among the layer's columns.  A chunk takes as many bits as keep its
-    gather within _GATHER_CELLS, and at least one; chunks are generated
-    as needed, so a layer's sources are never all held at once."""
+def _layer_bits(masks: list[np.ndarray]) -> Iterator[tuple]:
+    """Per layer p >= 2, (has, lack): has[i] marks the layer-p masks
+    holding bit i, lack[i] the layer-(p-1) masks lacking it.  Dropping
+    bit i keeps mask order, so the k-th mask lacking i, plus i, is the
+    k-th holding it.  Built one layer at a time, as needed."""
     m = len(masks) - 1
     bit_weights = (1 << np.arange(m, dtype=np.int32))[:, None]
     prev_has = np.eye(m, dtype=bool)
     for p in range(2, m + 1):
         has = (masks[p] & bit_weights) != 0
-        size = max(1, _GATHER_CELLS // (m * comb(m - 1, p - 1)))
-        yield _layer_chunks(prev_has, has, size)
+        yield has, ~prev_has
         prev_has = has
 
 
 @lru_cache(maxsize=None)
-def _cached_plan(m: int) -> tuple[list[np.ndarray], np.ndarray,
-                                  list[list[tuple]]]:
-    """`_plan` held in full, with int16 sources (a layer of at most
-    _PLAN_CACHE_MAX bits has fewer than 2**15 columns)."""
+def _cached_plan(m: int) -> tuple[list[np.ndarray], np.ndarray, list[tuple]]:
+    """`_plan` held in full."""
     masks = _popcount_layers(m)
     rank = _ranks(masks)
-    plan = [[(bits, sources.astype(np.int16), targets)
-             for bits, sources, targets in chunks]
-            for chunks in _index_steps(masks)]
+    steps = list(_layer_bits(masks))
     # every solve of this size shares these arrays
-    for array in masks + [rank] + [a for chunks in plan for c in chunks
-                                   for a in c[1:]]:
+    for array in masks + [rank] + [a for step in steps for a in step]:
         array.flags.writeable = False
-    return masks, rank, plan
+    return masks, rank, steps
 
 
-def _plan(m: int) -> tuple[list[np.ndarray], np.ndarray, Iterable[Iterable]]:
-    """Masks by popcount, their `_ranks` and the index chunks of
-    `_index_steps`, cached for interiors up to _PLAN_CACHE_MAX."""
+def _plan(m: int) -> tuple[list[np.ndarray], np.ndarray, Iterable[tuple]]:
+    """Masks by popcount, their `_ranks` and the per-layer masks of
+    `_layer_bits`, cached for interiors up to _PLAN_CACHE_MAX."""
     if m > _PLAN_CACHE_MAX:
         masks = _popcount_layers(m)
-        return masks, _ranks(masks), _index_steps(masks)
+        return masks, _ranks(masks), _layer_bits(masks)
     return _cached_plan(m)
+
+
+def _min_plus(prev: np.ndarray, DU: np.ndarray) -> np.ndarray:
+    """y[k, S] = min over every row j of prev[j, S] + DU[j, k], one
+    broadcast per span of columns that keeps it within _BLOCK_CELLS.  A
+    row j outside S is unset and adds nothing; a column S holding the
+    target is left for the caller to drop."""
+    m, width = prev.shape
+    cols = max(1, _BLOCK_CELLS // (m * DU.shape[1]))
+    y = np.empty((DU.shape[1], width), dtype=prev.dtype)
+    for c in range(0, width, cols):
+        span = slice(c, c + cols)
+        (prev[:, None, span] + DU[:, :, None]).min(axis=0, out=y[:, span])
+    return y
 
 
 def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
@@ -216,19 +210,21 @@ def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
     unset = int(np.iinfo(dtype).max) // 2
     DU = np.array([[D[a][b] for b in interior] for a in interior],
                   dtype=dtype)
-    masks, rank, plan = _plan(m)
+    masks, rank, steps = _plan(m)
     prev = np.full((m, m), unset, dtype=dtype)
     np.fill_diagonal(prev, [D[dest_i][v] for v in interior])
     table = [None, prev]
-    for p, chunks in enumerate(plan, start=2):
+    for p, (has, lack) in enumerate(steps, start=2):
+        # the masks holding bit i take y[i] at the columns lacking it
         cur = np.full((m, masks[p].size), unset, dtype=dtype)
-        for bits, sources, targets in chunks:
-            # x[j, k, c] enters the c-th target of bit k from j; take()
-            # keeps the gather C-contiguous for the add and the min, and
-            # the min's rows fill the targets row by row
-            x = prev.take(sources, axis=1)
-            x += DU[:, bits, None]
-            cur[bits][targets] = x.min(axis=0).ravel()
+        rows = max(1, _BLOCK_CELLS // prev.size)
+        if rows >= m:  # one broadcast for the layer, no spans to track
+            cur[has] = (prev[:, None] + DU[:, :, None]).min(axis=0)[lack]
+        else:
+            for lo in range(0, m, rows):
+                block = slice(lo, lo + rows)
+                y = _min_plus(prev, DU[:, block])
+                cur[block][has[block]] = y[lack[block]]
         table.append(cur)
         prev = cur
 

@@ -3,10 +3,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundwalk import (AlphaProfile, CoverTask, Edge, EstimateGraph, alpha_of,
-                       brute_force_cover, complete_graph, optimal_cover_walk,
-                       random_instance, validate, walk_of_vertices,
-                       walk_violations)
+from boundwalk import (AlphaProfile, CoverTask, Edge, EstimateGraph, GridSpec,
+                       alpha_of, brute_force_cover, build_grid_trap,
+                       complete_graph, optimal_cover_walk, random_instance,
+                       validate, walk_of_vertices, walk_violations)
 from boundwalk.graph import MAX_VERTICES, Distances
 
 
@@ -81,6 +81,25 @@ class TestAlphaProfile:
                               Edge(1, 2, F(1), F(2))], 0, 2)
         assert alpha_of(g) == AlphaProfile(F(2), False)
 
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(["random", "grid", "complete"]),
+           size=st.integers(4, 12), seed=st.integers(0, 10_000),
+           alpha=st.fractions(1, 2, max_denominator=40).filter(
+               lambda a: a < 2),
+           law=st.sampled_from(["uniform", "mixed"]))
+    def test_equals_fraction_maximum(self, family, size, seed, alpha, law):
+        if family == "random":
+            g, _ = random_instance(size, density=0.5, law=law, alpha=alpha,
+                                   seed=seed)
+        elif family == "grid":
+            g = build_grid_trap(GridSpec(size // 2 + 2, alpha),
+                                verify_adaptive=False).graph
+        else:
+            g = complete_graph(size, alpha)
+        alpha_max = max(e.upper / e.lower for e in g.edges)
+        assert alpha_of(g).alpha == alpha_max
+        assert type(alpha_of(g).alpha) is F
 
 def distances_from(dist, u):
     """Exact distances from u, read from `dist`'s integer row."""

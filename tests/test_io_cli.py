@@ -177,6 +177,22 @@ class TestCli:
             assert "parameter 'density'" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("argv", [["oracle"],
+                                      ["run", "--explorer", "adaptive"]])
+    def test_invalid_instance_refused_naming_field(self, tmp_path, capsys,
+                                                   argv):
+        # an instance that loads but fails `validate` is an error like any
+        # other refusal: exit 1, one `error:` line naming the fields
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 2, "s": 1, "t": 1, "edges": [
+            {"a": 0, "b": 1, "lower": "1", "upper": "1", "actual": "1"},
+        ]}), encoding="utf-8")
+        assert main([argv[0], str(bad), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: invalid instance: s and t must be "
+                                "distinct, both are 1\n")
+
     @pytest.mark.parametrize("fields, message", [
         ({"edges": [{"a": 0, "b": 1, "lower": "1", "upper": "1/0",
                      "actual": "1"}]},

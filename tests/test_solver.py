@@ -133,25 +133,23 @@ def test_oracle_equivalence_random_instances():
         assert set(walk.vertices) == set(range(graph.vertex_count))
 
 
-def test_numpy_and_python_kernels_agree(monkeypatch):
-    # both tables, read through their column accessors, agree on every
-    # (non-empty mask, j), unset cells included
+def _random_closure(m, seed, top=30):
+    """A symmetric closure with entries in 1..top around an interior of m
+    (the first and last index left out)."""
     import random
-    cases = []
-    # interiors 5..12 run on cached plans, 13 builds its indices as it goes;
-    # each closure fits int16 and is built in int32 as well
-    for m in range(solver._NUMPY_MIN_INTERIOR, solver._PLAN_CACHE_MAX + 2):
-        for seed in range(3 if m <= solver._PLAN_CACHE_MAX else 1):
-            rng = random.Random(seed)
-            r = m + 2
-            D = [[0] * r for _ in range(r)]
-            for i in range(r):
-                for j in range(i + 1, r):
-                    D[i][j] = D[j][i] = rng.randint(1, 30)
-            assert 30 * (r + 1) < solver._INT16_LIMIT
-            cases += [(D, np.int16), (D, np.int32)]
-    # three coprime denominators near 1000 put the scaled closure entries
-    # past the int32 bound but inside the int64 guard
+    rng = random.Random(seed)
+    r = m + 2
+    D = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            D[i][j] = D[j][i] = rng.randint(1, top)
+    assert top * (r + 1) < solver._INT16_LIMIT
+    return D
+
+
+def _int64_closure():
+    """K_10 whose scaled closure entries pass the int32 bound: three
+    coprime denominators near 1000, inside the int64 guard."""
     primes = (997, 991, 983)
     g = complete_graph(10, F(2))
     w = {eid: 1 + F(eid, primes[eid % 3]) for eid in range(len(g.edges))}
@@ -159,25 +157,68 @@ def test_numpy_and_python_kernels_agree(monkeypatch):
     D = Distances(g, w).among(task.required_vertices())
     reach = max(map(max, D)) * (len(D) + 1)
     assert solver._INT32_LIMIT <= reach < solver._INT64_LIMIT
-    cases.append((D, np.int64))
-    for D, dtype in cases:
-        r = len(D)
-        interior = list(range(1, r - 1))
-        py_column = _suffix_table_py(D, r - 1, interior)
-        np_column = _suffix_table_np(D, r - 1, interior, dtype)
-        # the same table from uncached one-bit chunks, as large interiors
-        # build it
+    return g, task, D
+
+
+def _kernel_cases(seeds):
+    """(D, dtype): `seeds` random closures for each interior from
+    _NUMPY_MIN_INTERIOR to _PLAN_CACHE_MAX, each built in int16 and in
+    int32, then the int64 K_10 closure."""
+    cases = []
+    for m in range(solver._NUMPY_MIN_INTERIOR, solver._PLAN_CACHE_MAX + 1):
+        for seed in range(seeds):
+            D = _random_closure(m, seed)
+            cases += [(D, np.int16), (D, np.int32)]
+    return cases + [(_int64_closure()[2], np.int64)]
+
+
+def _agree(D, dtype, masks=None):
+    """The numpy table equals the Python one through their column
+    accessors on `masks` (every non-empty mask by default), unset cells
+    included."""
+    r = len(D)
+    interior = list(range(1, r - 1))
+    py_column = _suffix_table_py(D, r - 1, interior)
+    np_column = _suffix_table_np(D, r - 1, interior, dtype)
+    for mask in masks or range(1, 1 << len(interior)):
+        assert np_column(mask) == py_column(mask), f"mask {mask:b}"
+
+
+def test_numpy_and_python_kernels_agree(monkeypatch):
+    for D, dtype in _kernel_cases(seeds=3):
+        _agree(D, dtype)
+        # the same table from masks built a layer at a time, as
+        # interiors past the cache build it
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_PLAN_CACHE_MAX", 0)
-            patch.setattr(solver, "_GATHER_CELLS", 1)
-            bit_column = _suffix_table_np(D, r - 1, interior, dtype)
-        for mask in range(1, 1 << len(interior)):
-            assert py_column(mask) == np_column(mask), f"mask {mask:b}"
-            assert py_column(mask) == bit_column(mask), f"mask {mask:b}"
+            _agree(D, dtype)
+    # an interior of 13 is past the cache: sampled masks of every layer
+    import random
+    rng = random.Random(13)
+    masks = [rng.randrange(1, 1 << 13) for _ in range(300)] + [(1 << 13) - 1]
+    for dtype in (np.int16, np.int32):
+        _agree(_random_closure(13, seed=0), dtype, masks)
     # and the solve picks int64 for the K_10 case, where int32 would wrap
+    g, task, _ = _int64_closure()
     walk, cost = optimal_cover_walk(g, task)
     bwalk, bcost = brute_force_cover(g, task)
     assert (walk.vertices, cost) == (bwalk.vertices, bcost)
+
+
+@pytest.mark.parametrize("block", ["one cell", "rows", "columns"])
+def test_kernel_blocks_agree(monkeypatch, block):
+    # a layer whose broadcast exceeds _BLOCK_CELLS is split by target
+    # rows, and a row that exceeds it by columns; layer 2 has m columns
+    for D, dtype in _kernel_cases(seeds=1):
+        m = len(D) - 2
+        cells = {"one cell": 1, "rows": 2 * m * m, "columns": m * m // 2}
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_BLOCK_CELLS", cells[block])
+            rows = max(1, cells[block] // (m * m))
+            cols = max(1, cells[block] // (m * rows))
+            assert (1 < rows < m) == (block == "rows")
+            assert (cols < m) == (block != "rows")
+            _agree(D, dtype)
 
 
 def _complete_near(r, top, ties, seed):
@@ -241,10 +282,9 @@ def test_cached_plans_stay_small():
     # every cached plan together, arrays only
     total = 0
     for m in range(solver._NUMPY_MIN_INTERIOR, solver._PLAN_CACHE_MAX + 1):
-        masks, rank, plan = solver._cached_plan(m)
+        masks, rank, steps = solver._cached_plan(m)
         total += sum(a.nbytes for a in masks) + rank.nbytes
-        total += sum(sources.nbytes + targets.nbytes for chunks in plan
-                     for _, sources, targets in chunks)
+        total += sum(has.nbytes + lack.nbytes for has, lack in steps)
     assert total < 1 << 19
 
 
