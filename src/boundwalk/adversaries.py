@@ -620,12 +620,12 @@ def random_uniform_assignment(graph: EstimateGraph,
 # ---------------------------------------------------------------------------
 
 class Instance(NamedTuple):
-    """A built instance; `certificate` is the offline walk (or a function of
-    the realized weights giving one) used beyond the exact oracle."""
+    """A built instance; `certificate(realized assignment, visit sequence)`
+    gives the offline walk used beyond the exact oracle."""
 
     graph: EstimateGraph
     source: WeightSource
-    certificate: Walk | Callable | None
+    certificate: Callable | None
 
 
 # Theorem bounds as (bound, kind) for an instance of spread alpha: kind
@@ -674,7 +674,7 @@ def _grid(p: dict, seed: int, verify_adaptive: bool = False) -> Instance:
     if verify_adaptive and not bundle.adaptive_verified:
         warnings.warn(f"adaptive self-check skipped: {bundle.skip_reason}")
     return Instance(bundle.graph, FixedAssignment(bundle.assignment),
-                    bundle.certificate)
+                    lambda assignment, visits: bundle.certificate)
 
 
 def _random(p: dict, seed: int, verify_adaptive: bool = False) -> Instance:

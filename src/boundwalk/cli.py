@@ -182,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     except SolverCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_CAP
-    except (adv.GridTrapError, ValueError, OSError, KeyError) as exc:
+    except (adv.GridTrapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except EngineError as exc:

@@ -277,9 +277,8 @@ def _exact_offline(graph: EstimateGraph, task: CoverTask, cap: int,
 def run_episode(graph: EstimateGraph, source: WeightSource, explorer: Explorer,
                 *, oracle_cap: int = DEFAULT_EXACT_CAP,
                 certificate: Callable[[WeightAssignment, Sequence[int]], Walk]
-                | Walk | None = None,
+                | None = None,
                 instance: dict | None = None,
-                step_cap: int | None = None,
                 offline_memo: dict | None = None) -> RunReport:
     """Run one episode to completion and attach the offline comparison.
 
@@ -297,7 +296,7 @@ def run_episode(graph: EstimateGraph, source: WeightSource, explorer: Explorer,
     cap.
     """
     n = graph.vertex_count
-    cap = step_cap if step_cap is not None else 10 * n * n
+    cap = 10 * n * n
     view = start_episode(graph, source)
     while not view.is_complete:
         if len(view.history) >= cap:
@@ -318,8 +317,7 @@ def run_episode(graph: EstimateGraph, source: WeightSource, explorer: Explorer,
     except SolverCapExceeded:
         candidates = [online]  # the agent's own walk is feasible offline
         if certificate is not None:
-            walk = (certificate if isinstance(certificate, Walk)
-                    else certificate(assignment, view.visit_sequence))
+            walk = certificate(assignment, view.visit_sequence)
             problems = walk_violations(graph, walk, assignment.weights)
             if problems:
                 raise EngineError(f"invalid certificate walk: {problems}")

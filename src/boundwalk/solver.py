@@ -25,13 +25,16 @@ explorers keep one per episode).  `parse_cap` refuses a cap outside
 A numpy kernel handles interiors of 5 or more vertices, a plain-Python
 kernel smaller ones and arbitrarily large integers; both implement the
 same recurrence and hand the reconstruction the same `column(mask) ->
-per-vertex costs` accessor.
+per-vertex costs` accessor.  Reading a table checks it: the cost it
+gives at the first step must be the cost of the order it leads to (the
+Held-Karp reconstruction invariant), which a stale or corrupted one breaks.
 
 `worst_case_plan` reads its table through a `SuffixTable`, which keeps
-the last one built.  A table depends only on the closure among its
-interior and destination, so after a move it still serves the remaining
-vertices, under its old bit numbering, until a reveal changes a distance
-among them: an episode builds a table only when that happens.
+the last one built.  A table depends only on the integer closure among
+its interior and destination (a rescale changes every entry), so after a
+move it still serves the remaining vertices, under its old bit numbering,
+until a reveal changes an integer distance among them or the destination
+changes: an episode builds a table only when that happens.
 
 The numpy table is layered by popcount: layer p is an (m, C(m, p)) array
 whose columns are the p-element masks in increasing order, so each layer
@@ -39,7 +42,8 @@ is computed from the one below it alone.  Its dtype is the narrowest the
 closure allows: int16 when max entry * (r + 1) < 2**14, int32 below
 2**30, int64 below 2**48; beyond that the Python kernel takes over.
 Unset cells hold half the dtype's maximum, above every table value, and
-an unset cell plus any entry does not overflow.
+an unset cell plus any entry does not overflow; cells are read as stored
+(the Python kernel's unset ones are None), and only set ones are read.
 Each layer is one min-plus step: y[i, S] = min over every row j of
 prev[j, S] + D[j, i], one broadcast add and one min over the rows, for
 every column S below.  The masks holding i take y[i] at the columns
@@ -86,7 +90,6 @@ _BLOCK_CELLS = 1 << 17
 _INT16_LIMIT = 1 << 14
 _INT32_LIMIT = 1 << 30
 _INT64_LIMIT = 1 << 48
-_INF = 1 << 62
 
 
 class SolverCapExceeded(Exception):
@@ -111,7 +114,7 @@ def _suffix_table_py(D: list[list[int]], dest_i: int,
                      interior: list[int]) -> Callable[[int], list[int]]:
     m = len(interior)
     size = 1 << m
-    g = [[_INF] * m for _ in range(size)]
+    g = [[None] * m for _ in range(size)]
     for j in range(m):
         g[1 << j][j] = D[dest_i][interior[j]]
     for mask in range(1, size):
@@ -122,7 +125,6 @@ def _suffix_table_py(D: list[list[int]], dest_i: int,
         for i in bits:
             prev = g[mask ^ (1 << i)]
             di = interior[i]
-            # Python ints are unbounded and may exceed _INF
             best = inf
             for j in bits:
                 if j == i:
@@ -229,37 +231,35 @@ def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
         prev = cur
 
     def column(mask: int) -> list[int]:
-        costs = table[mask.bit_count()][:, rank[mask]].tolist()
-        return [_INF if v == unset else v for v in costs]
+        return table[mask.bit_count()][:, rank[mask]].tolist()
 
     return column
 
 
 def _suffix_table(D: list[list[int]], dest_i: int, interior: list[int]
-                  ) -> tuple[Callable[[int], list[int]], bool]:
-    """The suffix table of `interior` toward dest_i, and whether numpy
-    built it: from an interior of _NUMPY_MIN_INTERIOR, when the closure
-    fits a dtype.  The dtype is the narrowest whose limit exceeds max
-    entry * (r + 1)."""
+                  ) -> Callable[[int], list[int]]:
+    """The suffix table of `interior` toward dest_i, built by numpy from
+    an interior of _NUMPY_MIN_INTERIOR when the closure fits a dtype: the
+    narrowest whose limit exceeds max entry * (r + 1)."""
     reach = max(max(row) for row in D) * (len(D) + 1)
     if len(interior) >= _NUMPY_MIN_INTERIOR and reach < _INT64_LIMIT:
         dtype = (np.int16 if reach < _INT16_LIMIT
                  else np.int32 if reach < _INT32_LIMIT else np.int64)
-        return _suffix_table_np(D, dest_i, interior, dtype), True
-    return _suffix_table_py(D, dest_i, interior), False
+        return _suffix_table_np(D, dest_i, interior, dtype)
+    return _suffix_table_py(D, dest_i, interior)
 
 
 def _reconstruct(D: list[list[int]], origin_i: int, dest_i: int,
                  interior: list[int], remaining: int,
-                 column: Callable[[int], list[int]],
-                 from_numpy: bool) -> tuple[int, list[int]]:
+                 column: Callable[[int], list[int]]) -> tuple[int, list[int]]:
     """Cost and lexicographically smallest optimal order from origin_i
     through closure index interior[j] for every bit j of `remaining`, then
-    dest_i, read front to back from the table `column` (numpy-built when
-    `from_numpy`), whose bits follow interior's increasing order."""
+    dest_i, read front to back from the table `column`, whose bits follow
+    interior's increasing order; the order must cost what it claims."""
     order = [origin_i]
     pos = origin_i
     total = 0
+    claimed = None
     while remaining:
         costs = column(remaining)
         best_cost = None
@@ -271,14 +271,14 @@ def _reconstruct(D: list[list[int]], origin_i: int, dest_i: int,
             if best_cost is None or c < best_cost:
                 best_cost = c
                 best_j = j
-        # an unset numpy cell reads as _INF; Python-kernel ints may exceed it
-        assert best_cost is not None and (best_cost < _INF or not from_numpy)
+        claimed = best_cost if claimed is None else claimed
         total += D[pos][interior[best_j]]
         pos = interior[best_j]
         order.append(pos)
         remaining &= ~(1 << best_j)
     total += D[pos][dest_i]
     order.append(dest_i)
+    assert total == claimed, f"table claims {claimed}, order costs {total}"
     return total, order
 
 
@@ -287,17 +287,17 @@ def _dp_order(D: list[list[int]], origin_i: int, dest_i: int,
     """Minimum cost and lexicographically smallest optimal visit order
     (as closure indices) for a fixed-endpoint path through every index of
     a non-empty `interior`; origin_i == dest_i makes it a closed tour."""
-    column, from_numpy = _suffix_table(D, dest_i, interior)
     return _reconstruct(D, origin_i, dest_i, interior,
-                        (1 << len(interior)) - 1, column, from_numpy)
+                        (1 << len(interior)) - 1,
+                        _suffix_table(D, dest_i, interior))
 
 
 class SuffixTable:
     """At most one suffix table, kept from one plan to the next.
 
-    A table's cells depend only on the closure among its interior and its
-    destination.  So a later plan toward the same destination, at the same
-    denominator, whose interior is a subset of the table's and whose
+    A table's cells depend only on the integer closure among its interior
+    and its destination.  So a later plan whose destination holds the
+    table's last bit, whose interior is a subset of the table's, and whose
     closure among that interior and the destination is unchanged, reads
     the table under its old bit numbering.  Those bits still run in
     increasing vertex id, so ties resolve as in a table of its own.  Any
@@ -305,34 +305,31 @@ class SuffixTable:
     """
 
     def __init__(self) -> None:
-        self._key: tuple[int, int] | None = None  # destination, denom
         # vertex -> bit, the destination last; the closure rows among them
         self._bits: dict[int, int] = {}
         self._closure: list[tuple[int, ...]] = []
         self._column: Callable[[int], list[int]] | None = None
-        self._numpy = False
 
-    def _fits(self, key: tuple[int, int], D: list[list[int]],
-              vertices: list[int], rows: list[int]) -> bool:
+    def _fits(self, D: list[list[int]], vertices: list[int],
+              rows: list[int]) -> bool:
         bits = self._bits
-        if key != self._key or not all(v in bits for v in vertices):
+        if (bits.get(vertices[-1]) != len(bits) - 1
+                or not all(v in bits for v in vertices)):
             return False
         old = itemgetter(*[bits[v] for v in vertices])
         new = itemgetter(*rows)
         return all(old(self._closure[bits[v]]) == new(D[i])
                    for v, i in zip(vertices, rows))
 
-    def order(self, D: list[list[int]], required: Sequence[int], denom: int,
+    def order(self, D: list[list[int]], required: Sequence[int],
               origin_i: int, dest_i: int,
               interior: list[int]) -> tuple[int, list[int]]:
-        """`_dp_order` on the closure D among `required` at `denom`."""
+        """`_dp_order` on the integer closure D among `required`."""
         rows = interior + [dest_i]
         vertices = [required[i] for i in rows]
-        key = (required[dest_i], denom)
-        if not self._fits(key, D, vertices, rows):
+        if not self._fits(D, vertices, rows):
             self._column = None  # never hold two tables
-            self._column, self._numpy = _suffix_table(D, dest_i, interior)
-            self._key = key
+            self._column = _suffix_table(D, dest_i, interior)
             self._bits = {v: j for j, v in enumerate(vertices)}
             get = itemgetter(*rows)
             self._closure = [get(D[i]) for i in rows]
@@ -343,7 +340,7 @@ class SuffixTable:
             slots[j] = i
             remaining |= 1 << j
         return _reconstruct(D, origin_i, dest_i, slots, remaining,
-                            self._column, self._numpy)
+                            self._column)
 
 
 def _brute_force_order(D: list[list[int]], origin_i: int, dest_i: int,
@@ -469,8 +466,7 @@ def worst_case_plan(view: "KnowledgeView", destination: int,
                          "exact oracle")
 
     def search(D, origin_i, dest_i, interior):
-        return table.order(D, required, distances.denom, origin_i, dest_i,
-                           interior)
+        return table.order(D, required, origin_i, dest_i, interior)
 
     vertices, total = _integer_walk(distances, required, view.position,
                                     destination, search)

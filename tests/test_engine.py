@@ -10,7 +10,7 @@ from boundwalk import (AdversaryFault, Edge, EstimateGraph, FixedAssignment,
                        realized_assignment, run_episode, start_episode)
 from boundwalk import engine
 from boundwalk.engine import EngineError, Explorer, WeightSource
-from boundwalk.graph import WeightAssignment
+from boundwalk.graph import Walk, WeightAssignment
 
 
 def p2(actual=F(1)):
@@ -212,6 +212,17 @@ class TestRunEpisode:
         assert rep.ratio_is_lower_bound
         # the agent's own walk bounds the optimum, so the ratio is >= 1
         assert rep.ratio >= F(1) or rep.offline_cost <= rep.online_cost
+
+    @pytest.mark.parametrize("vertices, costs, message", [
+        ((0, 1, 2), (F(1), F(5)), "invalid certificate walk"),
+        ((0, 1), (F(1),), "does not cover")])
+    def test_certificate_refused(self, vertices, costs, message):
+        # beyond the oracle cap a certificate counts only once checked
+        g, src = p3()
+        with pytest.raises(EngineError, match=message):
+            run_episode(g, src, make_explorer("nn"), oracle_cap=2,
+                        certificate=lambda assignment, visits:
+                        Walk(vertices, costs))
 
     def test_offline_memo_keys_on_realized_weights(self, monkeypatch):
         graph, first = random_instance(7, density=0.6, seed=11)

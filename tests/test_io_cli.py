@@ -5,9 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from boundwalk import Edge, EstimateGraph, random_instance
+from boundwalk import Edge, EstimateGraph, cli, random_instance
 from boundwalk.adversaries import FAMILIES
 from boundwalk.cli import main
+from boundwalk.engine import EngineError
 from boundwalk.graph import MAX_VERTICES, WeightAssignment
 from boundwalk.instance_io import (instance_from_dict, instance_to_dict,
                                    load_instance, load_run, parse_fraction,
@@ -108,8 +109,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert '"cost"' in out
         assert main(["run", str(inst), "--explorer", "adaptive"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["offline_kind"] == "exact"
+        text = capsys.readouterr().out
+        assert json.loads(text)["offline_kind"] == "exact"
+        out = tmp_path / "report.json"
+        assert main(["run", str(inst), "--explorer", "adaptive",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert out.read_text(encoding="utf-8") == text
 
     def test_generate_adversary_config_and_run(self, tmp_path, capsys):
         cfg = tmp_path / "k8.json"
@@ -329,6 +335,38 @@ class TestCli:
         text = capsys.readouterr().out
         assert re.search(r"--depth DEPTH\s+parameter of recursive\n", text)
         assert re.search(r"--k K\s+parameter of recursive, complete\n", text)
+
+    def test_ineffective_grid_trap_refused(self, tmp_path, capsys):
+        # at m = 12, alpha = 7/4 the certificate exceeds 6 m alpha + (m-2) m
+        out = tmp_path / "grid12.json"
+        assert main(["generate", "grid", "--m", "12", "--alpha", "7/4",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: trap not effective for m=12, alpha=7/4: ")
+        assert not out.exists()
+
+    def test_internal_faults_are_not_invalid_input(self, tmp_path, capsys,
+                                                   monkeypatch):
+        inst = tmp_path / "g.json"
+        assert main(["generate", "random", "--n", "5", "--out",
+                     str(inst)]) == 0
+        capsys.readouterr()
+
+        def failing(error):
+            def run_episode(*args, **kwargs):
+                raise error
+            return run_episode
+
+        argv = ["run", str(inst), "--explorer", "nn"]
+        monkeypatch.setattr(cli, "run_episode",
+                            failing(EngineError("lost a move")))
+        assert main(argv) == 3
+        assert capsys.readouterr().err == ("internal invariant violation: "
+                                           "lost a move\n")
+        # no input path raises KeyError: one from inside is a failure
+        monkeypatch.setattr(cli, "run_episode", failing(KeyError("slot")))
+        with pytest.raises(KeyError):
+            main(argv)
 
     def test_missing_required_flag(self, tmp_path, capsys):
         assert main(["generate", "grid", "--out",

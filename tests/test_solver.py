@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundwalk import (CoverTask, Distances, Edge, EstimateGraph,
-                       SolverCapExceeded, brute_force_cover, complete_graph,
-                       optimal_cover_walk, pessimistic_weights,
-                       random_instance, solver, walk_violations,
-                       worst_case_cover_walk)
+from boundwalk import (AdaptiveExplorer, CoverTask, Distances, Edge,
+                       EstimateGraph, SolverCapExceeded, brute_force_cover,
+                       complete_graph, optimal_cover_walk,
+                       pessimistic_weights, random_instance, solver,
+                       walk_violations, worst_case_cover_walk)
 from boundwalk.engine import start_episode, move, FixedAssignment
 from boundwalk.graph import WeightAssignment
 from boundwalk.solver import _suffix_table_np, _suffix_table_py
@@ -172,16 +172,25 @@ def _kernel_cases(seeds):
     return cases + [(_int64_closure()[2], np.int64)]
 
 
+def _same_cells(np_column, py_column, m, dtype, masks=None):
+    """On `masks` over m bits (every non-empty one by default), the numpy
+    column equals the Python one at the mask's own bits, and every other
+    numpy cell holds the dtype's unset value."""
+    unset = np.iinfo(dtype).max // 2
+    for mask in masks or range(1, 1 << m):
+        py_costs = py_column(mask)
+        expected = [py_costs[j] if mask >> j & 1 else unset
+                    for j in range(m)]
+        assert np_column(mask) == expected, f"mask {mask:b}"
+
+
 def _agree(D, dtype, masks=None):
-    """The numpy table equals the Python one through their column
-    accessors on `masks` (every non-empty mask by default), unset cells
-    included."""
+    """`_same_cells` on the tables of D's interior toward its last index."""
     r = len(D)
     interior = list(range(1, r - 1))
     py_column = _suffix_table_py(D, r - 1, interior)
     np_column = _suffix_table_np(D, r - 1, interior, dtype)
-    for mask in masks or range(1, 1 << len(interior)):
-        assert np_column(mask) == py_column(mask), f"mask {mask:b}"
+    _same_cells(np_column, py_column, len(interior), dtype, masks)
 
 
 def test_numpy_and_python_kernels_agree(monkeypatch):
@@ -255,11 +264,10 @@ def test_int16_tier_boundary(monkeypatch, r, top, dtype):
         return np_kernel(D, dest_i, interior, dtype)
 
     monkeypatch.setattr(solver, "_suffix_table_np", recording)
-    column, from_numpy = solver._suffix_table(D, r - 1, interior)
-    assert from_numpy and built == [dtype]
-    py_column = _suffix_table_py(D, r - 1, interior)
-    for mask in range(1, 1 << len(interior)):
-        assert column(mask) == py_column(mask), f"mask {mask:b}"
+    column = solver._suffix_table(D, r - 1, interior)
+    assert built == [dtype]
+    _same_cells(column, _suffix_table_py(D, r - 1, interior),
+                len(interior), dtype)
     walk, cost = optimal_cover_walk(g, task)
     bwalk, bcost = brute_force_cover(g, task)
     assert (walk.vertices, cost) == (bwalk.vertices, bcost)
@@ -286,6 +294,54 @@ def test_cached_plans_stay_small():
         total += sum(a.nbytes for a in masks) + rank.nbytes
         total += sum(has.nbytes + lack.nbytes for has, lack in steps)
     assert total < 1 << 19
+
+
+def test_stale_kept_table_fails_the_solve(monkeypatch):
+    # the spread-3 random episode, replayed to an explorer whose kept table
+    # skips the closure check: after a reveal has shortened distances among
+    # the vertices still to visit, the stale table's first-step cost is no
+    # longer the cost of the order it leads to
+    graph, assignment = random_instance(6, density=0.5, alpha=F(3), seed=5)
+    views = [start_episode(graph, FixedAssignment(assignment))]
+    fresh = AdaptiveExplorer()
+    while not views[-1].is_complete:
+        views.append(move(views[-1], fresh.decide(views[-1])))
+
+    def fits_any_closure(self, D, vertices, rows):
+        bits = self._bits
+        return (bits.get(vertices[-1]) == len(bits) - 1
+                and all(v in bits for v in vertices))
+
+    monkeypatch.setattr(solver.SuffixTable, "_fits", fits_any_closure)
+    stale = AdaptiveExplorer()
+    with pytest.raises(AssertionError, match="table claims"):
+        for view in views[:-1]:
+            stale.decide(view)
+
+
+def test_corrupted_table_cell_fails_the_solve(monkeypatch):
+    # K_9 with weights below 2, so every closure leg is one edge and the
+    # walk is the visit order; interior 7 takes the numpy kernel
+    import random
+    rng = random.Random(9)
+    g = complete_graph(9, F(2))
+    w = {eid: F(rng.randint(4, 7), 4) for eid in range(len(g.edges))}
+    task = cover_all(g, w)
+    walk, _ = optimal_cover_walk(g, task)
+    first = walk.vertices[1] - 1  # the interior's bit of the first step
+    np_kernel = solver._suffix_table_np
+
+    def corrupted(D, dest_i, interior, dtype):
+        column = np_kernel(D, dest_i, interior, dtype)
+        held = dict(zip(column.__code__.co_freevars,
+                        (cell.cell_contents for cell in column.__closure__)))
+        # the full mask's layer has one column; lower its optimal cell
+        held["table"][-1][first, 0] -= 1
+        return column
+
+    monkeypatch.setattr(solver, "_suffix_table_np", corrupted)
+    with pytest.raises(AssertionError, match="table claims"):
+        optimal_cover_walk(g, task)
 
 
 def test_large_denominators_take_python_kernel(monkeypatch):
