@@ -2,7 +2,7 @@
 half-split adaptive adversary for complete and complete bipartite graphs,
 the fixed grid trap, and seeded random instance generation.  `FAMILIES`
 and `PARAMETERS` describe each family and each of its parameters once, for
-the command line, config stubs and sweeps.
+the command line, config stubs, sweeps and the builders alike.
 
 Adaptive sources here are stateless functions of the agent's visit history,
 so they are deterministic and replayable by construction.
@@ -37,7 +37,7 @@ class GridTrapError(Exception):
 
 @dataclass(frozen=True)
 class RecursiveSpec:
-    """Branching k >= 2, recursion depth >= 0, spread alpha in (1, 2].
+    """Branching k, depth and alpha, in the ranges of `FAMILIES["recursive"]`.
 
     Alphas above 2 are clamped to 2: the construction cannot force more than
     a factor-2 gap, so larger announcements only loosen the instance.
@@ -48,16 +48,9 @@ class RecursiveSpec:
     alpha: Fraction
 
     def validated(self) -> "RecursiveSpec":
-        if self.k < 2:
-            raise InvalidSpec("recursive family needs k >= 2")
-        if self.depth < 0:
-            raise InvalidSpec("recursive family needs depth >= 0")
-        alpha = _as_fraction(self.alpha)
-        if alpha <= 1:
-            raise InvalidSpec("recursive family needs alpha > 1")
-        if alpha > 2:
-            alpha = Fraction(2)
-        return RecursiveSpec(self.k, self.depth, alpha)
+        p = _checked("recursive", k=self.k, depth=self.depth,
+                     alpha=self.alpha)
+        return RecursiveSpec(p["k"], p["depth"], min(p["alpha"], Fraction(2)))
 
 
 @dataclass
@@ -275,7 +268,8 @@ def recursive_vertex_count(k: int, depth: int) -> int:
 
 @dataclass(frozen=True)
 class CompleteAdvSpec:
-    """Half size k >= 2 (graph is K_{2k}), spread alpha in (1, 2].
+    """Half size k (the graph is K_{2k}) and spread alpha, in the ranges of
+    `FAMILIES["complete"]`.
 
     For alpha > 2 the construction cannot beat 3/2, so alpha is clamped to 2.
     """
@@ -284,14 +278,8 @@ class CompleteAdvSpec:
     alpha: Fraction
 
     def validated(self) -> "CompleteAdvSpec":
-        if self.k < 2:
-            raise InvalidSpec("complete adversary needs k >= 2")
-        alpha = _as_fraction(self.alpha)
-        if alpha <= 1:
-            raise InvalidSpec("complete adversary needs alpha > 1")
-        if alpha > 2:
-            alpha = Fraction(2)
-        return CompleteAdvSpec(self.k, alpha)
+        p = _checked("complete", k=self.k, alpha=self.alpha)
+        return CompleteAdvSpec(p["k"], min(p["alpha"], Fraction(2)))
 
 
 class HalvesAdversary:
@@ -375,22 +363,14 @@ def build_bipartite_adversary(spec: CompleteAdvSpec) -> AdversaryBundle:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Side length m >= 4 and spread alpha in [1, 2).
-
-    The expensive-detour argument needs alpha strictly below 2; alpha = 1 is
-    the degenerate all-ones sanity case.
-    """
+    """Side length m and spread alpha, in the ranges of `FAMILIES["grid"]`."""
 
     m: int
     alpha: Fraction
 
     def validated(self) -> "GridSpec":
-        if self.m < 4:
-            raise InvalidSpec("grid trap needs m >= 4")
-        alpha = _as_fraction(self.alpha)
-        if not 1 <= alpha < 2:
-            raise InvalidSpec("grid trap needs 1 <= alpha < 2")
-        return GridSpec(self.m, alpha)
+        p = _checked("grid", m=self.m, alpha=self.alpha)
+        return GridSpec(p["m"], p["alpha"])
 
 
 @dataclass
@@ -533,15 +513,14 @@ def _parse_density(value: float | int | str) -> float:
 
 
 def _parse_law(value: str) -> str:
-    # InvalidSpec, as `random_instance` refuses an unknown law with it
     if value not in ("uniform", "mixed"):
-        raise InvalidSpec(f"expected 'uniform' or 'mixed', got {value!r}")
+        raise ValueError(f"expected 'uniform' or 'mixed', got {value!r}")
     return value
 
 
 # every family parameter as (parser of a JSON or command-line value,
-# default or None when required), in the order of the report columns;
-# alpha's range depends on the family, so the builders check it
+# default or None when required), in the order of the report columns; the
+# sizes' least values are here, alpha's range in each `Family.alphas`
 PARAMETERS: dict[str, tuple[Callable, object]] = {
     "k": (partial(parse_int, minimum=2), None),
     "depth": (partial(parse_int, minimum=0), None),
@@ -561,12 +540,8 @@ def random_instance(n: int, *, density: float = PARAMETERS["density"][1],
     law "mixed": per-edge lower bounds and spreads vary, capped at alpha.
     Denominators stay small so downstream integer scaling stays cheap.
     """
-    if n < 2:
-        raise InvalidSpec("random instance needs n >= 2")
-    alpha = _as_fraction(alpha)
-    if alpha < 1:
-        raise InvalidSpec("alpha must be >= 1")
-    _parse_law(law)
+    p = _checked("random", n=n, alpha=alpha, density=density, law=law)
+    n, alpha, density, law = p["n"], p["alpha"], p["density"], p["law"]
     rng = random.Random(seed)
     pairs = {(rng.randrange(v), v) for v in range(1, n)}
     rest = [(a, b) for a in range(n) for b in range(a + 1, n)
@@ -700,22 +675,40 @@ class Family:
     `adaptive` (its weights react to the explorer, so `generate` writes a
     config stub naming it instead of an instance file); `build(params,
     seed)`, where `verify_adaptive=True` adds the grid trap's replanning
-    self-check; `vertices(params)`, the vertex count it builds; and
-    `bound(explorer, alpha, params)`."""
+    self-check; `vertices(params)`, the vertex count it builds; `alphas`,
+    its alpha range as (low, whether low is in it, high or None; high never
+    is); and `bound(explorer, alpha, params)`.  Every entry point and
+    builder reads parameters through `parse`."""
 
     params: tuple[str, ...]
     adaptive: bool
     build: Callable[..., Instance]
     vertices: Callable[[dict], int]
+    alphas: tuple[int, bool, int | None]
     bound: Callable[[str, Fraction, dict], tuple] = _ratio_bound
 
     def parse(self, raw: Mapping) -> dict:
         """Typed parameters from JSON or command-line values; ValueError
-        names a missing or malformed one, or the integer parameters whose
-        instance would exceed `MAX_VERTICES` (checked before building)."""
+        names one the family does not take, a missing or malformed one, an
+        alpha outside `alphas`, or the integer parameters whose instance
+        would exceed `MAX_VERTICES` (checked before building)."""
+        unknown = sorted(set(raw) - set(self.params))
+        if unknown:
+            raise ValueError(
+                f"unknown parameter{'s' * (len(unknown) > 1)} "
+                f"{', '.join(map(repr, unknown))} (takes "
+                f"{', '.join(self.params)})")
         parsed = {name: _read_field(raw, name, *PARAMETERS[name],
                                     noun="parameter")
                   for name in self.params}
+        low, closed, high = self.alphas
+        alpha = parsed["alpha"]  # every family takes alpha
+        if not (low <= alpha if closed else low < alpha) or (
+                high is not None and alpha >= high):
+            rule = f"{low} {'<=' if closed else '<'} alpha"
+            raise ValueError(f"bad parameter 'alpha': expected {rule}"
+                             f"{'' if high is None else f' < {high}'}, "
+                             f"got {alpha}")
         if self.vertices(parsed) > MAX_VERTICES:
             sizes = [p for p in self.params if type(parsed[p]) is int]
             raise ValueError(
@@ -726,15 +719,27 @@ class Family:
         return parsed
 
 
+# the lower-bound constructions need a gap; the grid trap's detour argument
+# needs alpha < 2, and alpha = 1 is its all-ones sanity case
+_ABOVE_ONE = (1, False, None)
+
 FAMILIES: dict[str, Family] = {
     "recursive": Family(("k", "depth", "alpha"), True, _recursive,
-                        _recursive_vertices, _recursive_bound),
+                        _recursive_vertices, _ABOVE_ONE, _recursive_bound),
     "complete": Family(("k", "alpha"), True, _complete,
-                       lambda p: 2 * p["k"], _half_split_bound),
+                       lambda p: 2 * p["k"], _ABOVE_ONE, _half_split_bound),
     "bipartite": Family(("n", "alpha"), True, _bipartite,
-                        lambda p: 2 * p["n"], _half_split_bound),
+                        lambda p: 2 * p["n"], _ABOVE_ONE, _half_split_bound),
     "grid": Family(("m", "alpha"), False, _grid,
-                   lambda p: p["m"] ** 2),
+                   lambda p: p["m"] ** 2, (1, True, 2)),
     "random": Family(("n", "alpha", "density", "law"), False, _random,
-                     lambda p: p["n"]),
+                     lambda p: p["n"], (1, True, None)),
 }
+
+
+def _checked(family: str, **params) -> dict:
+    """`FAMILIES[family].parse(params)`, refusing with InvalidSpec."""
+    try:
+        return FAMILIES[family].parse(params)
+    except ValueError as exc:
+        raise InvalidSpec(str(exc)) from exc

@@ -86,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     family = adv.FAMILIES[args.family]
-    # an unset flag is None; parse reports a missing required one
-    params = family.parse({k: v for k, v in vars(args).items()
-                           if v is not None})
+    # only the flags given (not None), so parse refuses one it does not take
+    params = family.parse({name: value for name in adv.PARAMETERS
+                           if (value := getattr(args, name)) is not None})
     seed = _flag("--seed", parse_int, args.seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -106,8 +106,6 @@ def _cmd_generate(args) -> int:
 def _cmd_run(args) -> int:
     cap = _flag("--solver-cap", parse_cap, args.solver_cap)
     (graph, source, certificate), instance_desc = load_run(args.instance)
-    if problems := validate(graph):
-        raise ValueError(f"invalid instance: {'; '.join(problems)}")
     explorer = make_explorer(args.explorer, cap=cap)
     report = run_episode(graph, source, explorer, oracle_cap=cap,
                          certificate=certificate, instance=instance_desc)
@@ -143,8 +141,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle(args) -> int:
     cap = _flag("--solver-cap", parse_cap, args.solver_cap)
     graph, assignment = load_instance(args.instance, actual=True)
-    if problems := validate(graph):
-        raise ValueError(f"invalid instance: {'; '.join(problems)}")
     task = CoverTask(weights=assignment.weights, origin=graph.start,
                      destination=graph.end,
                      must_visit=frozenset(range(graph.vertex_count)))

@@ -122,10 +122,10 @@ class NearestNeighborExplorer:
         return distances.path(view.position, goal)[1]
 
 
-EXPLORERS = {
+EXPLORERS = {  # each name's constructor, given the exact-solver cap
     "precompute": PrecomputeExplorer,
     "adaptive": AdaptiveExplorer,
-    "nn": NearestNeighborExplorer,
+    "nn": lambda cap: NearestNeighborExplorer(),  # nn solves nothing
 }
 
 
@@ -133,7 +133,4 @@ def make_explorer(name: str, *, cap: int = DEFAULT_EXACT_CAP):
     if name not in EXPLORERS:
         raise ValueError(f"unknown explorer {name!r}; "
                          f"choose from {sorted(EXPLORERS)}")
-    cls = EXPLORERS[name]
-    if cls is NearestNeighborExplorer:
-        return cls()
-    return cls(cap=cap)
+    return EXPLORERS[name](cap=cap)

@@ -18,7 +18,7 @@ from pathlib import Path
 from .adversaries import FAMILIES, Family, Instance, parse_fraction
 from .engine import FixedAssignment
 from .graph import (MAX_VERTICES, Edge, EstimateGraph, WeightAssignment,
-                    _read_field, parse_int)
+                    _read_field, parse_int, validate)
 
 
 def read_json(path: str | Path) -> dict:
@@ -106,7 +106,7 @@ def load_instance(path: str | Path, *, actual: bool = False
                   ) -> tuple[EstimateGraph, WeightAssignment | None]:
     """Graph and actual weights (None when it carries none) of an instance
     file; ValueError when the file is not one or, with `actual`, lacks
-    actual weights."""
+    actual weights or fails `validate`."""
     return _instance(path, read_json(path), actual)
 
 
@@ -116,6 +116,8 @@ def _instance(path: str | Path, data: dict, actual: bool):
     graph, assignment = instance_from_dict(data)
     if actual and assignment is None:
         raise ValueError(f"{path}: needs an actual weight on every edge")
+    if actual and (problems := validate(graph)):
+        raise ValueError(f"invalid instance: {'; '.join(problems)}")
     return graph, assignment
 
 
@@ -134,7 +136,11 @@ def load_run(path: str | Path) -> tuple[Instance, dict]:
     data = read_json(path)
     if "family" in data and "edges" not in data:
         family = _read_field(data, "family", _adaptive_family)
-        instance = family.build(family.parse(data), 0)
+        params = {k: v for k, v in data.items() if k != "family"}
+        try:  # a refusal names the family the stub was read for
+            instance = family.build(family.parse(params), 0)
+        except ValueError as exc:
+            raise ValueError(f"family {data['family']!r}: {exc}") from exc
         return instance, {"file": str(path), "n": instance.graph.vertex_count,
                           **data}
     graph, assignment = _instance(path, data, actual=True)

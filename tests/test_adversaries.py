@@ -252,7 +252,8 @@ class TestFamilyVertexLimit:
         ("random", {"n": 1024}, {"n": 1025}),
         ("bipartite", {"n": 512}, {"n": 513}),
         ("complete", {"k": 512}, {"k": 513}),
-        ("grid", {"m": 32}, {"m": 33}),
+        # grid's default alpha 2 is outside its own range
+        ("grid", {"m": 32, "alpha": "3/2"}, {"m": 33, "alpha": "3/2"}),
         ("recursive", {"k": 2, "depth": 7}, {"k": 2, "depth": 8}),
         ("recursive", {"k": 31, "depth": 1}, {"k": 32, "depth": 1}),
     ])

@@ -2,7 +2,8 @@
 `oracle`, `run`), adversary configs (`run`), sweep configs (`sweep`) and
 flag values (`generate`'s parameters and seed, `--solver-cap`, `--jobs`).
 
-Each example changes one field of a small valid input.  Whatever the value,
+Each example changes one field of a small valid input (or adds one that
+an adversary config's family does not take).  Whatever the value,
 the command must exit 0, 1 or 2 without a traceback, and an `error:` line
 must name the changed field (or, for a replaced document, just say what is
 wrong).  A malformed flag value must exit 1, whatever it is, and name its
@@ -35,11 +36,19 @@ INSTANCE = {"n": 3, "s": 0, "t": 2, "edges": [
     {"a": 0, "b": 1, "lower": "1", "upper": "2", "actual": "3/2"},
     {"a": 1, "b": 2, "lower": "1", "upper": "2", "actual": "2"},
     {"a": 0, "b": 2, "lower": "2", "upper": "4", "actual": "3"}]}
-# extra parameters are ignored, so a changed family still builds
-ADVERSARY = {"family": "complete", "k": 2, "depth": 1, "n": 2,
-             "alpha": "3/2"}
+FAMILY_NAMES = ["recursive", "complete", "bipartite", "grid", "random"]
+# a valid config stub of each adaptive family
+ADVERSARIES = {
+    "recursive": {"family": "recursive", "k": 2, "depth": 1, "alpha": "3/2"},
+    "complete": {"family": "complete", "k": 2, "alpha": "3/2"},
+    "bipartite": {"family": "bipartite", "n": 2, "alpha": "3/2"}}
+# a valid sweep config, and a valid grid of each family less its alpha
 SWEEP = {"family": "complete", "grid": {"k": [2], "alpha": ["3/2"]},
          "explorers": ["nn"], "seeds": [0], "jobs": 1, "solver_cap": 10}
+GRIDS = {"recursive": {"k": [2], "depth": [0]}, "complete": {"k": [2]},
+         "bipartite": {"n": [2]}, "grid": {"m": [4]}, "random": {"n": [3]}}
+# alphas at the edges of the families' ranges: > 1, [1, 2) and >= 1
+edge_alphas = st.sampled_from(["0", "1", "3/2", "2", "3"])
 
 
 def run_cli(argv):
@@ -52,12 +61,16 @@ def run_cli(argv):
 
 def check(argv, *fields):
     """Exit code, no traceback, and an `error:` line naming one of
-    `fields` (if any are given)."""
+    `fields` (if any are given) unless it is the solver cap's (exit 2);
+    returns the exit code and stderr."""
     code, err = run_cli(argv)
     assert code in (0, 1, 2), err
     assert "Traceback" not in err
     if fields and "error:" in err:
-        assert re.search(rf"\b({'|'.join(fields)})\b", err), err
+        # a valid recursive stub of depth 4 has 78 vertices, beyond the cap
+        cap = code == 2 and "required vertices exceed cap" in err
+        assert cap or re.search(rf"\b({'|'.join(fields)})\b", err), err
+    return code, err
 
 
 @settings(max_examples=150, deadline=None)
@@ -93,21 +106,21 @@ def test_malformed_instance_files(tmp_path_factory, doc, command):
 
 
 @settings(max_examples=100, deadline=None)
-@given(field=st.sampled_from(["family", "k", "depth", "n", "alpha"]),
-       value=st.one_of(values, st.sampled_from(
-           ["recursive", "complete", "bipartite", "grid", "random"])),
+@given(family=st.sampled_from(sorted(ADVERSARIES)),
+       field=st.sampled_from(["family", "k", "depth", "n", "alpha"]),
+       value=st.one_of(values, st.sampled_from(FAMILY_NAMES)),
        explorer=st.sampled_from(["nn", "adaptive", "precompute"]))
-def test_malformed_adversary_configs(tmp_path_factory, field, value,
+def test_malformed_adversary_configs(tmp_path_factory, family, field, value,
                                      explorer):
+    # a field the family does not take is added, and refused by its name
     path = tmp_path_factory.mktemp("adversary") / "cfg.json"
-    path.write_text(json.dumps({**ADVERSARY, field: value}),
+    path.write_text(json.dumps({**ADVERSARIES[family], field: value}),
                     encoding="utf-8")
     check(["run", str(path), "--explorer", explorer], field)
 
 
 sweep_values = {
-    "family": st.one_of(junk, st.sampled_from(
-        ["recursive", "complete", "bipartite", "grid", "random"])),
+    "family": st.one_of(junk, st.sampled_from(FAMILY_NAMES)),
     "grid": st.one_of(
         junk,
         st.dictionaries(st.sampled_from(["k", "alpha", "m", "density",
@@ -128,17 +141,28 @@ sweep_values = {
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_malformed_sweep_configs(tmp_path_factory, data):
+    family = data.draw(st.sampled_from(FAMILY_NAMES))
+    base = {**SWEEP, "family": family,
+            "grid": {**GRIDS[family], "alpha": ["3/2"]}}
     field = data.draw(st.sampled_from([*sweep_values, None]))
     if field is None:  # the whole document replaced
         config, fields = data.draw(junk), ()
     else:
-        config = {**SWEEP, field: data.draw(sweep_values[field])}
+        strategy = sweep_values[field]
+        if field == "grid":  # the family's own grid at an edge alpha, too
+            strategy = st.one_of(strategy, edge_alphas.map(
+                lambda alpha: {**GRIDS[family], "alpha": [alpha]}))
+        config = {**base, field: data.draw(strategy)}
         # another family may refuse the grid's parameters
         fields = (field, "grid") if field == "family" else (field,)
     tmp = tmp_path_factory.mktemp("sweep")
     path = tmp / "sweep.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    check(["sweep", str(path), "--out", str(tmp / "report")], *fields)
+    code, err = check(["sweep", str(path), "--out", str(tmp / "report")],
+                      *fields)
+    # a value its family refuses (an alpha at the wrong edge, say) is
+    # refused at load, so no row fails here but by the solver cap (exit 2)
+    assert code != 1 or "error:" in err, err
 
 
 # flag values are text: junk as the command line would carry it, less the

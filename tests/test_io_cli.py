@@ -428,3 +428,43 @@ class TestCli:
         assert "'grid'" in err and "bad parameter 'k'" in err
         assert not (tmp_path / "rep.csv").exists()
         assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("family, grid", [
+        ("grid", {"m": [4], "alpha": ["3/2", "2"]}),
+        ("random", {"n": [5], "alpha": ["1/2"]}),
+        ("complete", {"k": [3], "alpha": ["1"]}),
+    ])
+    def test_sweep_refuses_alpha_outside_family_range_at_load(
+            self, family, grid, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": family, "grid": grid,
+                                   "out": str(tmp_path / "rep")}),
+                       encoding="utf-8")
+        assert main(["sweep", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad field 'grid': "
+                                       "bad parameter 'alpha': expected ")
+        assert not (tmp_path / "rep.csv").exists()
+        assert not (tmp_path / "rep.json").exists()
+
+    def test_stub_refuses_a_parameter_its_family_does_not_take(
+            self, tmp_path, capsys):
+        # a misspelled alpha would otherwise run at the default alpha 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "complete", "k": 3,
+                                   "aplha": "3/2"}), encoding="utf-8")
+        assert main(["run", str(cfg), "--explorer", "nn"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: family 'complete': unknown parameter "
+                                "'aplha' (takes k, alpha)\n")
+
+    def test_generate_refuses_flags_the_family_does_not_take(self, tmp_path,
+                                                             capsys):
+        out = tmp_path / "grid.json"
+        assert main(["generate", "grid", "--m", "4", "--alpha", "3/2",
+                     "--k", "3", "--depth", "9", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown parameters 'depth', 'k' (takes m, alpha)\n")
+        assert not out.exists()

@@ -372,19 +372,22 @@ class TestSweepTasks:
         assert F(nn["online_cost"]) == F(nn["offline_cost"]) > 0
 
     def test_a_failed_build_fails_every_row_of_its_task(self):
-        # the grid trap needs alpha < 2: only that point's rows fail
+        # the grid trap is not effective at m = 12, alpha = 7/4 (its build
+        # refuses it): only that point's rows fail
         rows = run_sweep(sweep_config(
-            family="grid", grid={"m": [4], "alpha": ["3/2", "2"]},
+            family="grid", grid={"m": [4, 12], "alpha": ["7/4"]},
             explorers=ALL3))
         failed = [r for r in rows if r["offline_kind"].startswith("error:")]
-        assert {r["alpha"] for r in failed} == {"2"} and len(failed) == 3
-        assert all(r["n"] == "" for r in failed)
+        assert {r["m"] for r in failed} == {"12"} and len(failed) == 3
+        assert all(r["offline_kind"].startswith("error:GridTrapError: ")
+                   and r["n"] == "" for r in failed)
 
 
 @pytest.mark.parametrize("grid, code", [
-    # n = 30 exceeds the exact oracle's cap; grid alpha must be below 2
+    # n = 30 exceeds the exact oracle's cap; the grid trap is not
+    # effective at m = 12, alpha = 7/4
     ({"family": "random", "grid": {"n": [6, 30], "alpha": ["2"]}}, 2),
-    ({"family": "grid", "grid": {"m": [4], "alpha": ["2"]}}, 1),
+    ({"family": "grid", "grid": {"m": [12], "alpha": ["7/4"]}}, 1),
 ], ids=["solver-cap", "other-error"])
 def test_cli_sweep_exit_code_names_failed_rows(grid, code, tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
