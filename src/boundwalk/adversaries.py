@@ -690,7 +690,8 @@ class Family:
     def parse(self, raw: Mapping) -> dict:
         """Typed parameters from JSON or command-line values; ValueError
         names one the family does not take, a missing or malformed one, an
-        alpha outside `alphas`, or the integer parameters whose instance
+        alpha outside `alphas` (a missing alpha whose default is outside
+        them is a missing one), or the integer parameters whose instance
         would exceed `MAX_VERTICES` (checked before building)."""
         unknown = sorted(set(raw) - set(self.params))
         if unknown:
@@ -705,10 +706,14 @@ class Family:
         alpha = parsed["alpha"]  # every family takes alpha
         if not (low <= alpha if closed else low < alpha) or (
                 high is not None and alpha >= high):
-            rule = f"{low} {'<=' if closed else '<'} alpha"
-            raise ValueError(f"bad parameter 'alpha': expected {rule}"
-                             f"{'' if high is None else f' < {high}'}, "
-                             f"got {alpha}")
+            rule = (f"{low} {'<=' if closed else '<'} alpha"
+                    f"{'' if high is None else f' < {high}'}")
+            if "alpha" not in raw:
+                raise ValueError(
+                    f"missing parameter 'alpha': this family needs one, "
+                    f"since the default {alpha} is outside {rule}")
+            raise ValueError(
+                f"bad parameter 'alpha': expected {rule}, got {alpha}")
         if self.vertices(parsed) > MAX_VERTICES:
             sizes = [p for p in self.params if type(parsed[p]) is int]
             raise ValueError(

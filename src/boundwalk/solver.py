@@ -21,7 +21,8 @@ stays in integers: it checks the walk's scaled step weights against the
 DP total and returns both.  The oracles build a fresh `Distances` of the
 task's weights; `worst_case_plan` takes its caller's (the replanning
 explorers keep one per episode).  `parse_cap` refuses a cap outside
-1..MAX_EXACT_CAP before any work, so no table exceeds 20 * 2**20 cells.
+1..MAX_EXACT_CAP before any work, so no numpy table exceeds 20 * 2**19
+cells.
 A numpy kernel handles interiors of 5 or more vertices, a plain-Python
 kernel smaller ones and arbitrarily large integers; both implement the
 same recurrence and hand the reconstruction the same `column(mask) ->
@@ -36,23 +37,33 @@ move it still serves the remaining vertices, under its old bit numbering,
 until a reveal changes an integer distance among them or the destination
 changes: an episode builds a table only when that happens.
 
-The numpy table is layered by popcount: layer p is an (m, C(m, p)) array
-whose columns are the p-element masks in increasing order, so each layer
-is computed from the one below it alone.  Its dtype is the narrowest the
-closure allows: int16 when max entry * (r + 1) < 2**14, int32 below
-2**30, int64 below 2**48; beyond that the Python kernel takes over.
-Unset cells hold half the dtype's maximum, above every table value, and
-an unset cell plus any entry does not overflow; cells are read as stored
-(the Python kernel's unset ones are None), and only set ones are read.
-Each layer is one min-plus step: y[i, S] = min over every row j of
-prev[j, S] + D[j, i], one broadcast add and one min over the rows, for
-every column S below.  The masks holding i take y[i] at the columns
-lacking i, in order (dropping bit i keeps mask order); the other sums
-stay inside the dtype by the unset rule and are dropped.  A broadcast
-holds at most 2**17 cells, splitting a layer by target rows, then a row
-by columns; no index plan is built.  Up to interior 12 the masks, ranks
-(rank[mask]: a mask's column in its layer) and per-layer bit masks are
-cached, 0.23 MiB in all; larger interiors build bit masks layer by layer.
+The numpy table is layered by popcount and stores set cells only: layer
+p is an (m, C(m - 1, p - 1)) array whose row i holds the cells (S, i) of
+the p-element masks S holding i, in increasing order of S, so a table
+holds m * 2**(m - 1) cells.  Its dtype is the narrowest the closure
+allows: int16 when max entry * (r + 1) < 2**14, int32 below 2**30, int64
+below 2**48; beyond that the Python kernel takes over.  Each layer is one
+min-plus step over a dense scratch copy of the layer below, (m, C(m,
+p - 1)) with the masks in increasing order as columns, whose cells
+outside their mask are unset: half the dtype's maximum, above every
+table value, so an unset cell plus any entry does not overflow.  y[i, S]
+= min over every row j of prev[j, S] + D[j, i], one broadcast add and one
+min over the rows, for every column S.  Row i of layer p is y[i] at the
+columns lacking i, in order (dropping bit i keeps mask order); the other
+sums are dropped.  The scratch copy of a layer is made from its stored
+rows and dropped after the next step; the top layer makes none.  A
+broadcast holds at most 2**17 cells, splitting a layer by target rows,
+then a row by columns; no index plan is built.
+
+A read takes a mask's cells at its own bits: cell (S, j) lies in row j,
+at the column of S minus bit j once the bits above j move down one
+place, i.e. that mask's rank among the masks over m - 1 bits of its
+popcount.  Cells are read as stored (the Python kernel's unset ones are
+None), and only a mask's own bits are read.  Up to interior 12 the flat
+index of every cell (an int16 array of 2**m * m) and the per-layer bit
+masks are cached, 0.34 MiB in all, so a read is one `take`; larger
+interiors build bit masks layer by layer and compute a read's indices
+from a rank array of 2**(m - 1) entries.
 """
 from __future__ import annotations
 
@@ -60,7 +71,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
+from math import comb, inf
 from operator import itemgetter
 from typing import (Callable, Iterable, Iterator, Mapping, Sequence,
                     TYPE_CHECKING)
@@ -74,8 +85,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DEFAULT_EXACT_CAP = 20
 BRUTE_FORCE_CAP = 10
-# the largest cap a solve accepts: its table has at most 20 * 2**20 cells,
-# 42 MB in int16, 84 MB in int32 and 168 MB in int64
+# the largest cap a solve accepts: its table has at most 20 * 2**19 cells,
+# 21 MB in int16, 42 MB in int32 and 84 MB in int64
 MAX_EXACT_CAP = 22
 
 # numpy pays off once the mask space is non-trivial
@@ -150,46 +161,92 @@ def _popcount_layers(m: int) -> list[np.ndarray]:
 
 
 def _ranks(masks: list[np.ndarray]) -> np.ndarray:
-    """rank[mask]: the column of `mask` within its popcount layer."""
-    rank = np.empty(1 << (len(masks) - 1), dtype=np.int32)
-    for layer in masks:
-        rank[layer] = np.arange(layer.size, dtype=np.int32)
+    """rank[mask]: the column of `mask` within its popcount layer, for the
+    masks over the m - 1 low bits, which lead each layer of `masks`."""
+    m = len(masks) - 1
+    rank = np.empty(1 << (m - 1), dtype=np.int32)
+    for p, layer in enumerate(masks[:m]):
+        low = layer[:comb(m - 1, p)]
+        rank[low] = np.arange(low.size, dtype=np.int32)
     return rank
+
+
+def _cell_table(masks: list[np.ndarray]) -> np.ndarray:
+    """cells[mask, j]: the flat index of cell (mask, j) in its compact
+    layer for every bit j of `mask`, 0 at its other bits: row j of layer
+    p, at the rank of mask minus bit j once the bits above j move down
+    one place.  int16, which holds every index up to _PLAN_CACHE_MAX."""
+    m = len(masks) - 1
+    width = np.empty(1 << m, dtype=np.int32)
+    for p, layer in enumerate(masks):
+        width[layer] = layer.size * p // m  # C(m - 1, p - 1)
+    every = np.arange(1 << m, dtype=np.int32)[:, None]
+    bit = 1 << np.arange(m, dtype=np.int32)
+    low = bit - 1
+    rest = every & ~bit
+    down = (rest & low) | ((rest >> 1) & ~low)
+    cells = np.arange(m, dtype=np.int32) * width[:, None] + _ranks(masks)[down]
+    return np.where(every & bit, cells, 0).astype(np.int16)
+
+
+def _cell_reader(masks: list[np.ndarray]) -> Callable[[int], list[int]]:
+    """`_cell_table`'s row of one mask, computed when read."""
+    m = len(masks) - 1
+    rank = _ranks(masks).item
+    widths = [layer.size * p // m for p, layer in enumerate(masks)]
+
+    def cells(mask: int) -> list[int]:
+        width = widths[mask.bit_count()]
+        row = [0] * m
+        for j in range(m):
+            if mask >> j & 1:
+                low = (1 << j) - 1
+                rest = mask ^ (1 << j)
+                row[j] = j * width + rank(rest & low | rest >> 1 & ~low)
+        return row
+
+    return cells
 
 
 def _layer_bits(masks: list[np.ndarray]) -> Iterator[tuple]:
     """Per layer p >= 2, (has, lack): has[i] marks the layer-p masks
     holding bit i, lack[i] the layer-(p-1) masks lacking it.  Dropping
     bit i keeps mask order, so the k-th mask lacking i, plus i, is the
-    k-th holding it.  Built one layer at a time, as needed."""
+    k-th holding it.  Built one layer at a time, as needed, `has` in
+    blocks of rows within _BLOCK_CELLS."""
     m = len(masks) - 1
     bit_weights = (1 << np.arange(m, dtype=np.int32))[:, None]
     prev_has = np.eye(m, dtype=bool)
     for p in range(2, m + 1):
-        has = (masks[p] & bit_weights) != 0
+        has = np.empty((m, masks[p].size), dtype=bool)
+        rows = max(1, _BLOCK_CELLS // masks[p].size)
+        for lo in range(0, m, rows):
+            np.not_equal(masks[p] & bit_weights[lo:lo + rows], 0,
+                         out=has[lo:lo + rows])
         yield has, ~prev_has
         prev_has = has
 
 
 @lru_cache(maxsize=None)
-def _cached_plan(m: int) -> tuple[list[np.ndarray], np.ndarray, list[tuple]]:
-    """`_plan` held in full."""
+def _cached_plan(m: int) -> tuple[np.ndarray, list[tuple]]:
+    """`_plan` held in full, its reads as a `_cell_table`."""
     masks = _popcount_layers(m)
-    rank = _ranks(masks)
+    cells = _cell_table(masks)
     steps = list(_layer_bits(masks))
     # every solve of this size shares these arrays
-    for array in masks + [rank] + [a for step in steps for a in step]:
+    for array in [cells] + [a for step in steps for a in step]:
         array.flags.writeable = False
-    return masks, rank, steps
+    return cells, steps
 
 
-def _plan(m: int) -> tuple[list[np.ndarray], np.ndarray, Iterable[tuple]]:
-    """Masks by popcount, their `_ranks` and the per-layer masks of
+def _plan(m: int) -> tuple[Callable[[int], Sequence[int]], Iterable[tuple]]:
+    """The cell indices of a mask's column, and the per-layer masks of
     `_layer_bits`, cached for interiors up to _PLAN_CACHE_MAX."""
     if m > _PLAN_CACHE_MAX:
         masks = _popcount_layers(m)
-        return masks, _ranks(masks), _layer_bits(masks)
-    return _cached_plan(m)
+        return _cell_reader(masks), _layer_bits(masks)
+    cells, steps = _cached_plan(m)
+    return cells.__getitem__, steps
 
 
 def _min_plus(prev: np.ndarray, DU: np.ndarray) -> np.ndarray:
@@ -212,26 +269,32 @@ def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
     unset = int(np.iinfo(dtype).max) // 2
     DU = np.array([[D[a][b] for b in interior] for a in interior],
                   dtype=dtype)
-    masks, rank, steps = _plan(m)
+    cells, steps = _plan(m)
+    first = np.array([[D[dest_i][v]] for v in interior], dtype=dtype)
     prev = np.full((m, m), unset, dtype=dtype)
-    np.fill_diagonal(prev, [D[dest_i][v] for v in interior])
-    table = [None, prev]
+    np.fill_diagonal(prev, first)
+    table = [None, first]
     for p, (has, lack) in enumerate(steps, start=2):
-        # the masks holding bit i take y[i] at the columns lacking it
-        cur = np.full((m, masks[p].size), unset, dtype=dtype)
+        # row i keeps y[i] at the columns lacking i, in order: the layer-p
+        # masks holding i, C(m - 1, p - 1) of them
         rows = max(1, _BLOCK_CELLS // prev.size)
         if rows >= m:  # one broadcast for the layer, no spans to track
-            cur[has] = (prev[:, None] + DU[:, :, None]).min(axis=0)[lack]
+            kept = (prev[:, None] + DU[:, :, None]).min(axis=0)[lack]
+            kept = kept.reshape(m, -1)
         else:
+            kept = np.empty((m, has.shape[1] * p // m), dtype=dtype)
             for lo in range(0, m, rows):
                 block = slice(lo, lo + rows)
                 y = _min_plus(prev, DU[:, block])
-                cur[block][has[block]] = y[lack[block]]
-        table.append(cur)
-        prev = cur
+                kept[block] = y[lack[block]].reshape(-1, kept.shape[1])
+        table.append(kept)
+        if p < m:  # a dense layer feeds the next step, then goes
+            del prev
+            prev = np.full(has.shape, unset, dtype=dtype)
+            prev[has] = kept.ravel()
 
     def column(mask: int) -> list[int]:
-        return table[mask.bit_count()][:, rank[mask]].tolist()
+        return table[mask.bit_count()].take(cells(mask)).tolist()
 
     return column
 

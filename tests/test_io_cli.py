@@ -468,3 +468,21 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: unknown parameters 'depth', 'k' (takes m, alpha)\n")
         assert not out.exists()
+
+    def test_generate_asks_for_alpha_when_its_default_is_out_of_range(
+            self, tmp_path, capsys):
+        # the shared alpha default, 2, lies outside grid's 1 <= alpha < 2;
+        # the refusal is about the missing value, not a value never given
+        out = tmp_path / "grid.json"
+        assert main(["generate", "grid", "--m", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: missing parameter 'alpha': this family needs one, since "
+            "the default 2 is outside 1 <= alpha < 2\n")
+        assert not out.exists()
+        assert main(["generate", "grid", "--m", "4", "--alpha", "2",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad parameter 'alpha': expected 1 <= alpha < 2, got 2\n")
+        assert main(["generate", "grid", "--m", "4", "--alpha", "3/2",
+                     "--out", str(out)]) == 0
+        assert out.exists()

@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundwalk import (AdaptiveExplorer, CoverTask, Distances,
@@ -11,7 +12,7 @@ from boundwalk import (AdaptiveExplorer, CoverTask, Distances,
                        complete_graph, make_explorer, move,
                        optimal_cover_walk, pessimistic_weights,
                        random_instance, start_episode, walk_violations,
-                       worst_case_cover_walk)
+                       solver, worst_case_cover_walk)
 from boundwalk.graph import WeightAssignment
 
 instances = st.builds(
@@ -153,17 +154,11 @@ def plan_view_graph(family, size, seed):
                            seed=seed)[0]
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["complete", "bipartite", "grid", "random"]),
-       st.integers(3, 8), st.integers(0, 10_000),
-       st.sampled_from(sorted(DENOMINATORS)))
-def test_integer_plans_match_the_fraction_oracles(family, size, seed,
-                                                  denominators):
-    # one adaptive explorer through a whole episode, so its plans come
-    # from lowered (and rescaled) distances and reused suffix tables;
-    # each must be worst_case_cover_walk's first hop and cost, and brute
-    # force's within its reach
-    graph = plan_view_graph(family, size, seed)
+def replay_against_oracles(graph, seed, denominators):
+    """One adaptive explorer through a whole episode of seeded actual
+    weights, so its plans come from lowered (and rescaled) distances and
+    reused suffix tables; each must be worst_case_cover_walk's first hop
+    and cost, and brute force's within its reach."""
     rng = random.Random(seed)
     actual = {}
     for eid, e in enumerate(graph.edges):
@@ -181,3 +176,40 @@ def test_integer_plans_match_the_fraction_oracles(family, size, seed,
             bwalk, bcost = brute_force_cover(graph, task)
             assert (hop, cost) == (bwalk.vertices[1], bcost)
         view = move(view, hop)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["complete", "bipartite", "grid", "random"]),
+       st.integers(3, 8), st.integers(0, 10_000),
+       st.sampled_from(sorted(DENOMINATORS)))
+def test_integer_plans_match_the_fraction_oracles(family, size, seed,
+                                                  denominators):
+    replay_against_oracles(plan_view_graph(family, size, seed), seed,
+                           denominators)
+
+
+@pytest.mark.parametrize("family", ["grid", "random"])
+def test_plans_past_the_plan_cache_match_the_fraction_oracles(monkeypatch,
+                                                              family):
+    # 16 vertices, so the first plan has an interior of 14, past
+    # solver._PLAN_CACHE_MAX, where a read computes its cell indices: the
+    # grid trap at m = 4, and a spread-3/2 random instance whose
+    # interior-14 table is also read again, kept, at the next decision
+    if family == "grid":
+        graph = plan_view_graph("grid", 4, 0)
+    else:
+        graph = random_instance(16, density=0.5, alpha=F(3, 2), seed=2)[0]
+    assert graph.vertex_count == 16
+    kept = []
+    fits = solver.SuffixTable._fits
+
+    def recording(self, D, vertices, rows):
+        if fits(self, D, vertices, rows):
+            kept.append(len(self._bits) - 1)
+            return True
+        return False
+
+    monkeypatch.setattr(solver.SuffixTable, "_fits", recording)
+    replay_against_oracles(graph, 1, "small")
+    if family == "random":
+        assert max(kept) > solver._PLAN_CACHE_MAX

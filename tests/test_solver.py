@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction as F
+from math import comb
 
 import numpy as np
 import pytest
@@ -172,16 +174,15 @@ def _kernel_cases(seeds):
     return cases + [(_int64_closure()[2], np.int64)]
 
 
-def _same_cells(np_column, py_column, m, dtype, masks=None):
+def _same_cells(np_column, py_column, m, masks=None):
     """On `masks` over m bits (every non-empty one by default), the numpy
-    column equals the Python one at the mask's own bits, and every other
-    numpy cell holds the dtype's unset value."""
-    unset = np.iinfo(dtype).max // 2
+    column equals the Python one at the mask's own bits, the only cells
+    either table sets."""
     for mask in masks or range(1, 1 << m):
-        py_costs = py_column(mask)
-        expected = [py_costs[j] if mask >> j & 1 else unset
-                    for j in range(m)]
-        assert np_column(mask) == expected, f"mask {mask:b}"
+        bits = [j for j in range(m) if mask >> j & 1]
+        np_costs, py_costs = np_column(mask), py_column(mask)
+        assert ([np_costs[j] for j in bits]
+                == [py_costs[j] for j in bits]), f"mask {mask:b}"
 
 
 def _agree(D, dtype, masks=None):
@@ -190,7 +191,7 @@ def _agree(D, dtype, masks=None):
     interior = list(range(1, r - 1))
     py_column = _suffix_table_py(D, r - 1, interior)
     np_column = _suffix_table_np(D, r - 1, interior, dtype)
-    _same_cells(np_column, py_column, len(interior), dtype, masks)
+    _same_cells(np_column, py_column, len(interior), masks)
 
 
 def test_numpy_and_python_kernels_agree(monkeypatch):
@@ -267,7 +268,7 @@ def test_int16_tier_boundary(monkeypatch, r, top, dtype):
     column = solver._suffix_table(D, r - 1, interior)
     assert built == [dtype]
     _same_cells(column, _suffix_table_py(D, r - 1, interior),
-                len(interior), dtype)
+                len(interior))
     walk, cost = optimal_cover_walk(g, task)
     bwalk, bcost = brute_force_cover(g, task)
     assert (walk.vertices, cost) == (bwalk.vertices, bcost)
@@ -287,13 +288,53 @@ def test_dp_matches_brute_force_near_the_int16_limit(r, reach, ties, seed):
 
 
 def test_cached_plans_stay_small():
-    # every cached plan together, arrays only
+    # every cached plan together, arrays only: the cell indices a read
+    # takes and the per-layer bit masks of the build
     total = 0
     for m in range(solver._NUMPY_MIN_INTERIOR, solver._PLAN_CACHE_MAX + 1):
-        masks, rank, steps = solver._cached_plan(m)
-        total += sum(a.nbytes for a in masks) + rank.nbytes
+        cells, steps = solver._cached_plan(m)
+        total += cells.nbytes
         total += sum(has.nbytes + lack.nbytes for has, lack in steps)
     assert total < 1 << 19
+
+
+def _held_layers(column):
+    """The layers a numpy `column` reads, from its closure."""
+    held = dict(zip(column.__code__.co_freevars,
+                    (cell.cell_contents for cell in column.__closure__)))
+    return held["table"][1:]
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+@pytest.mark.parametrize("m", [9, 13])  # a cached and an uncached plan
+def test_numpy_table_holds_only_set_cells(m, dtype):
+    # cell (S, i) is set only for i in S: m * 2**(m - 1) of them, where a
+    # dense (m, C(m, p)) layer would hold m * C(m, p) cells
+    D = _random_closure(m, seed=m)
+    column = _suffix_table_np(D, m + 1, list(range(1, m + 1)), dtype)
+    layers = _held_layers(column)
+    assert [layer.shape for layer in layers] == [
+        (m, comb(m - 1, p - 1)) for p in range(1, m + 1)]
+    assert all(layer.dtype == dtype for layer in layers)
+    assert (sum(layer.nbytes for layer in layers)
+            == m * 2 ** (m - 1) * np.dtype(dtype).itemsize)
+
+
+def test_numpy_build_peak_memory():
+    # one int16 build at interior 16, past the plan cache: the table is
+    # 1 MiB; the dense scratch layers, the per-layer bit masks and the
+    # build's temporaries add the rest (3.06 MiB when every layer was
+    # stored dense)
+    m = 16
+    D = _random_closure(m, seed=0)
+    tracemalloc.start()
+    try:
+        column = _suffix_table_np(D, m + 1, list(range(1, m + 1)), np.int16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * (1 << 20)
+    assert sum(layer.nbytes for layer in _held_layers(column)) == 1 << 20
 
 
 def test_stale_kept_table_fails_the_solve(monkeypatch):
@@ -333,10 +374,8 @@ def test_corrupted_table_cell_fails_the_solve(monkeypatch):
 
     def corrupted(D, dest_i, interior, dtype):
         column = np_kernel(D, dest_i, interior, dtype)
-        held = dict(zip(column.__code__.co_freevars,
-                        (cell.cell_contents for cell in column.__closure__)))
-        # the full mask's layer has one column; lower its optimal cell
-        held["table"][-1][first, 0] -= 1
+        # the full mask's layer is (m, 1); lower its optimal cell
+        _held_layers(column)[-1][first, 0] -= 1
         return column
 
     monkeypatch.setattr(solver, "_suffix_table_np", corrupted)
