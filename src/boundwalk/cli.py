@@ -141,9 +141,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle(args) -> int:
     cap = _flag("--solver-cap", parse_cap, args.solver_cap)
     graph, assignment = load_instance(args.instance, actual=True)
-    task = CoverTask(weights=assignment.weights, origin=graph.start,
-                     destination=graph.end,
-                     must_visit=frozenset(range(graph.vertex_count)))
+    task = CoverTask.full_cover(graph, assignment.weights)
     walk, cost = optimal_cover_walk(graph, task, cap=cap)
     print(json.dumps({
         "vertices": list(walk.vertices),

@@ -307,9 +307,7 @@ def run_episode(graph: EstimateGraph, source: WeightSource, explorer: Explorer,
 
     assignment = realized_assignment(graph, view, source)
     online = view.paid
-    task = CoverTask(weights=assignment.weights, origin=graph.start,
-                     destination=graph.end,
-                     must_visit=frozenset(range(n)))
+    task = CoverTask.full_cover(graph, assignment.weights)
     try:
         offline = _exact_offline(graph, task, oracle_cap, offline_memo)
         kind = "exact"

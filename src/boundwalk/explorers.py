@@ -60,18 +60,13 @@ class PrecomputeExplorer:
         self._walk: tuple[int, ...] | None = None
         self._step = 0
 
-    def planned_walk(self, view: KnowledgeView) -> tuple[int, ...]:
-        graph = view.graph
-        weights = {eid: e.lower for eid, e in enumerate(graph.edges)}
-        task = CoverTask(weights=weights, origin=graph.start,
-                         destination=graph.end,
-                         must_visit=frozenset(range(graph.vertex_count)))
-        walk, _ = optimal_cover_walk(graph, task, cap=self._cap)
-        return walk.vertices
-
     def decide(self, view: KnowledgeView) -> int:
         if self._walk is None:
-            self._walk = self.planned_walk(view)
+            graph = view.graph
+            lower = {eid: e.lower for eid, e in enumerate(graph.edges)}
+            walk, _ = optimal_cover_walk(
+                graph, CoverTask.full_cover(graph, lower), cap=self._cap)
+            self._walk = walk.vertices
         if self._walk[self._step] != view.position:
             raise RuntimeError("precompute replay desynchronized")
         self._step += 1

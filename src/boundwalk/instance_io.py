@@ -123,16 +123,19 @@ def _instance(path: str | Path, data: dict, actual: bool):
 
 def _adaptive_family(name) -> Family:
     family = FAMILIES.get(name) if isinstance(name, str) else None
-    if family is None or not family.adaptive:
+    if family is None:
         raise ValueError(f"unknown adversary family {name!r}")
+    if not family.adaptive:
+        raise ValueError(f"family {name!r} has fixed weights: `boundwalk "
+                         f"generate {name}` writes an instance file for it")
     return family
 
 
 def load_run(path: str | Path) -> tuple[Instance, dict]:
     """What `run` plays, from an instance file with actual weights or an
     adaptive adversary config, and its report's `instance` block: the path,
-    the vertex count and, for a config, the config's own fields as
-    written."""
+    the vertex count `n` and, for a config, the config's own fields as
+    written, but `n` (a bipartite stub's side size) gives way."""
     data = read_json(path)
     if "family" in data and "edges" not in data:
         family = _read_field(data, "family", _adaptive_family)
@@ -141,8 +144,8 @@ def load_run(path: str | Path) -> tuple[Instance, dict]:
             instance = family.build(family.parse(params), 0)
         except ValueError as exc:
             raise ValueError(f"family {data['family']!r}: {exc}") from exc
-        return instance, {"file": str(path), "n": instance.graph.vertex_count,
-                          **data}
+        return instance, {"file": str(path), **data,
+                          "n": instance.graph.vertex_count}
     graph, assignment = _instance(path, data, actual=True)
     instance = Instance(graph, FixedAssignment(assignment), None)
     return instance, {"file": str(path), "n": graph.vertex_count}

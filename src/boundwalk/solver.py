@@ -13,7 +13,11 @@ to original edges.
 Every solve runs one integer core, `_integer_walk`: the closure
 `Distances.among` the required vertices (integers over one common
 denominator), the order search on that matrix, and each leg of the order
-expanded by `Distances.path`.  Two epilogues follow it.  The oracles
+expanded by `Distances.path`.  Its only DP order search is
+`SuffixTable.order`, on a fresh table for `optimal_cover_walk` and a kept
+one for `worst_case_plan`; `brute_force_cover` calls `_brute_force_order`
+alike.  An empty interior is no special case: the DP reads no cell, the
+brute force tries the empty permutation.  Two epilogues follow.  The oracles
 (`optimal_cover_walk`, `brute_force_cover`, `worst_case_cover_walk`)
 price the walk as a Fraction `Walk` and check it against the cost
 Fraction(total, denom).  `worst_case_plan`, the adaptive explorer's,
@@ -116,6 +120,14 @@ class CoverTask:
     origin: int
     destination: int
     must_visit: frozenset[int]
+
+    @classmethod
+    def full_cover(cls, graph: EstimateGraph,
+                   weights: Mapping[int, Fraction]) -> CoverTask:
+        """The whole exploration: start to end through every vertex."""
+        return cls(weights=weights, origin=graph.start,
+                   destination=graph.end,
+                   must_visit=frozenset(range(graph.vertex_count)))
 
     def required_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.must_visit | {self.origin, self.destination}))
@@ -318,7 +330,8 @@ def _reconstruct(D: list[list[int]], origin_i: int, dest_i: int,
     """Cost and lexicographically smallest optimal order from origin_i
     through closure index interior[j] for every bit j of `remaining`, then
     dest_i, read front to back from the table `column`, whose bits follow
-    interior's increasing order; the order must cost what it claims."""
+    interior's increasing order; the order must cost what the table claims
+    at its first step (an empty `remaining` reads no cell)."""
     order = [origin_i]
     pos = origin_i
     total = 0
@@ -341,18 +354,9 @@ def _reconstruct(D: list[list[int]], origin_i: int, dest_i: int,
         remaining &= ~(1 << best_j)
     total += D[pos][dest_i]
     order.append(dest_i)
-    assert total == claimed, f"table claims {claimed}, order costs {total}"
+    assert claimed in (None, total), \
+        f"table claims {claimed}, order costs {total}"
     return total, order
-
-
-def _dp_order(D: list[list[int]], origin_i: int, dest_i: int,
-              interior: list[int]) -> tuple[int, list[int]]:
-    """Minimum cost and lexicographically smallest optimal visit order
-    (as closure indices) for a fixed-endpoint path through every index of
-    a non-empty `interior`; origin_i == dest_i makes it a closed tour."""
-    return _reconstruct(D, origin_i, dest_i, interior,
-                        (1 << len(interior)) - 1,
-                        _suffix_table(D, dest_i, interior))
 
 
 class SuffixTable:
@@ -370,7 +374,7 @@ class SuffixTable:
     def __init__(self) -> None:
         # vertex -> bit, the destination last; the closure rows among them
         self._bits: dict[int, int] = {}
-        self._closure: list[tuple[int, ...]] = []
+        self._closure: list[list[int]] = []
         self._column: Callable[[int], list[int]] | None = None
 
     def _fits(self, D: list[list[int]], vertices: list[int],
@@ -387,15 +391,19 @@ class SuffixTable:
     def order(self, D: list[list[int]], required: Sequence[int],
               origin_i: int, dest_i: int,
               interior: list[int]) -> tuple[int, list[int]]:
-        """`_dp_order` on the integer closure D among `required`."""
+        """Cost and lexicographically smallest optimal order (closure
+        indices) from origin_i through every index of `interior`, if any,
+        to dest_i (a closed tour when equal), over the integer closure D
+        among `required`: the DP's only order search."""
         rows = interior + [dest_i]
         vertices = [required[i] for i in rows]
         if not self._fits(D, vertices, rows):
             self._column = None  # never hold two tables
             self._column = _suffix_table(D, dest_i, interior)
             self._bits = {v: j for j, v in enumerate(vertices)}
-            get = itemgetter(*rows)
-            self._closure = [get(D[i]) for i in rows]
+            # whole rows: an itemgetter of the one row of an empty
+            # interior's table would give a scalar, which `_fits` indexes
+            self._closure = [[D[i][j] for j in rows] for i in rows]
         slots = [-1] * (len(self._bits) - 1)
         remaining = 0
         for v, i in zip(vertices, interior):
@@ -406,13 +414,15 @@ class SuffixTable:
                             self._column)
 
 
-def _brute_force_order(D: list[list[int]], origin_i: int, dest_i: int,
+def _brute_force_order(D: list[list[int]], required: Sequence[int],
+                       origin_i: int, dest_i: int,
                        interior: list[int]) -> tuple[int, list[int]]:
-    """Same contract as `_dp_order`, by exhaustive enumeration.
+    """Same contract as `SuffixTable.order`, by exhaustive enumeration
+    (`required` is not read).
 
     Permutations are generated in lexicographic order and `min` keeps the
     first of equal costs, so ties resolve to the same lexicographically
-    smallest order as the DP.
+    smallest order as the DP.  An empty interior has one, the empty one.
     """
     def cost(perm: tuple[int, ...]) -> int:
         path = (origin_i, *perm, dest_i)
@@ -458,12 +468,7 @@ def _integer_walk(distances: Distances, required: tuple[int, ...],
     dest_i = required.index(destination)
     interior = [i for i in range(len(required))
                 if i != origin_i and i != dest_i]
-    if interior:
-        total, order_i = order_search(D, origin_i, dest_i, interior)
-    elif origin_i == dest_i:
-        total, order_i = 0, [origin_i]
-    else:
-        total, order_i = D[origin_i][dest_i], [origin_i, dest_i]
+    total, order_i = order_search(D, required, origin_i, dest_i, interior)
     vertices = [origin]
     for a, b in zip(order_i, order_i[1:]):
         vertices.extend(distances.path(required[a], required[b])[1:])
@@ -490,7 +495,7 @@ def _solve(graph: EstimateGraph, task: CoverTask, cap: int, oracle: str,
 def optimal_cover_walk(graph: EstimateGraph, task: CoverTask, *,
                        cap: int = DEFAULT_EXACT_CAP) -> tuple[Walk, Fraction]:
     """Exact minimum-cost covering walk by subset DP on the metric closure."""
-    return _solve(graph, task, cap, "exact oracle", _dp_order)
+    return _solve(graph, task, cap, "exact oracle", SuffixTable().order)
 
 
 def brute_force_cover(graph: EstimateGraph, task: CoverTask, *,
@@ -527,12 +532,8 @@ def worst_case_plan(view: "KnowledgeView", destination: int,
     pessimistic weights; `table` keeps a suffix table between calls."""
     required = _required(view.position, destination, view.unvisited, cap,
                          "exact oracle")
-
-    def search(D, origin_i, dest_i, interior):
-        return table.order(D, required, origin_i, dest_i, interior)
-
     vertices, total = _integer_walk(distances, required, view.position,
-                                    destination, search)
+                                    destination, table.order)
     # the integer counterpart of the oracles' `walk.cost == cost`
     assert distances.length(vertices) == total
     return vertices, total

@@ -3,6 +3,7 @@ prints one pass/fail line.  All comparisons are exact rational arithmetic.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
+import heapq
 import time
 from fractions import Fraction as F
 
@@ -254,3 +255,83 @@ def test_criterion_8_engine_invariants_across_corpus():
             episodes += 2
     report(8, "engine invariants and replay determinism",
            f"{episodes} episodes, per-step checks active")
+
+
+def walk_known(view, goal):
+    """The view after a cheapest walk from its position to `goal` whose
+    inner vertices are visited, on the weights revealed so far (every
+    edge of a visited vertex is revealed)."""
+    best = {view.position: (F(0), None)}
+    heap = [(F(0), view.position)]
+    while heap:
+        d, x = heapq.heappop(heap)
+        if x == goal:
+            break
+        if d > best[x][0] or x not in view.visited:
+            continue
+        for y, eid in view.graph.neighbors(x):
+            c = d + view.revealed[eid]
+            if y not in best or c < best[y][0]:
+                best[y] = (c, x)
+                heapq.heappush(heap, (c, y))
+    path = [goal]
+    while path[-1] != view.position:
+        path.append(best[path[-1]][1])
+    for v in reversed(path[:-1]):
+        view = move(view, v)
+    return view
+
+
+def first_visit_leaves(view):
+    """The completed episode of every first-visit order: branch on each
+    frontier vertex (unvisited, next to a visited one), walk a cheapest
+    known path to it, and end with one to the end vertex."""
+    graph = view.graph
+    if not view.unvisited:
+        yield walk_known(view, graph.end)
+        return
+    frontier = {v for x in view.visited for v, _ in graph.neighbors(x)}
+    for v in sorted(frontier & view.unvisited):
+        yield from first_visit_leaves(walk_known(view, v))
+
+
+def test_criterion_9_online_floors_hold_for_every_deterministic_strategy():
+    # the adversaries read only the first-visit order, and between first
+    # visits a walk pays known weights, so the least cost over these leaves
+    # is the least any deterministic strategy can pay (randomised ones are
+    # not covered)
+    from boundwalk import recursive_online_lower_bound
+    started = time.time()
+    searched = []
+    for alpha in (F(3, 2), F(2)):
+        spec = RecursiveSpec(2, 1, alpha).validated()
+        for name, bundle, floor, orders in (
+                ("K_6", build_complete_adversary(CompleteAdvSpec(3, alpha)),
+                 3 + 2 * alpha, 120),
+                ("K_{3,3}",
+                 build_bipartite_adversary(CompleteAdvSpec(3, alpha)),
+                 3 + 2 * alpha, 72),
+                ("recursive k=2 depth=1", build_recursive(spec),
+                 recursive_online_lower_bound(spec), 720)):
+            graph, source = bundle.graph, bundle.source
+            offline = {}
+            leaves = []
+            for view in first_visit_leaves(start_episode(graph, source)):
+                weights = realized_assignment(graph, view, source).weights
+                key = tuple(weights[eid] for eid in range(len(graph.edges)))
+                if key not in offline:
+                    offline[key] = optimal_cover_walk(
+                        graph, full_cover_task(graph, weights))[1]
+                leaves.append((view.paid, view.paid / offline[key]))
+            adaptive = run_episode(graph, source, make_explorer("adaptive"))
+            assert len(leaves) == orders, (name, alpha, len(leaves))
+            assert min(c for c, _ in leaves) == floor == adaptive.online_cost
+            least_ratio = min(r for _, r in leaves)
+            assert least_ratio <= adaptive.ratio, (name, alpha)
+            print(f"  {name} alpha={alpha}: {orders} orders, least cost "
+                  f"{floor}, least ratio {least_ratio} (adaptive "
+                  f"{adaptive.ratio})")
+            searched.append(name)
+    elapsed = time.time() - started
+    report(9, "online floor over every first-visit order",
+           f"{len(searched)} instances in {elapsed:.1f}s")

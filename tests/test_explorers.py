@@ -181,29 +181,32 @@ def test_reused_explorer_decides_as_fresh_ones(name):
     # on the spread-3 random graph, reveals shorten distances among the
     # vertices still to visit, so a kept suffix table must be dropped;
     # on the random graph a stale one would change the second decision.
+    # A one-edge graph's only plan, read twice, has an empty interior.
     bundle = build_complete_adversary(CompleteAdvSpec(4, F(3, 2)))
     graph, assignment = random_instance(9, density=0.4, seed=5)
     spread3, spread3_assignment = random_instance(6, density=0.5,
                                                   alpha=F(3), seed=5)
+    edge = EstimateGraph(2, [Edge(0, 1, F(1), F(2))], 0, 1)
     episodes = []
     for g, source in ((bundle.graph, bundle.source),
                       (graph, FixedAssignment(assignment)),
                       (bundle.graph, FixedAssignment(
                           random_uniform_assignment(bundle.graph, 3))),
                       grid_episode_source(),
-                      (spread3, FixedAssignment(spread3_assignment))):
+                      (spread3, FixedAssignment(spread3_assignment)),
+                      (edge, FixedAssignment(WeightAssignment({0: F(3, 2)})))):
         views = [start_episode(g, source)]
         fresh = make_explorer(name)
         while not views[-1].is_complete:
             views.append(move(views[-1], fresh.decide(views[-1])))
         episodes.append(views[:-1])
     reused = make_explorer(name)
-    first, _, third, grid, spread3_views = episodes
+    first, _, third, grid, spread3_views, edge_views = episodes
     alternating = [pair[k % 2]
                    for k, pair in enumerate(zip(first, third))]
     order = (first + episodes[1] + first[::2] + first[1::2]
              + [first[2], first[2], first[3]] + first[::-1] + alternating
-             + grid + grid[::-1] + spread3_views)
+             + grid + grid[::-1] + spread3_views + edge_views * 2)
     for view in order:
         fresh = make_explorer(name)
         assert reused.decide(view) == fresh.decide(view)

@@ -93,9 +93,12 @@ class TestInstanceFormat:
         save_adversary_config(path, "complete", {"k": 4, "alpha": "2"})
         (graph, _, _), _ = load_run(path)
         assert graph.vertex_count == 8
-        for family in ("mystery", "grid"):
+        for family, match in (("mystery", "unknown adversary family"),
+                              ("grid", "family 'grid' has fixed weights: "
+                                       "`boundwalk generate grid` writes an "
+                                       "instance file")):
             save_adversary_config(path, family, {"m": 4})
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=match):
                 load_run(path)
 
 
@@ -126,6 +129,18 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["online_cost"] == "10"
         assert report["offline_cost"] == "7"
+
+    def test_run_reports_the_vertex_count_of_a_bipartite_stub(self, tmp_path,
+                                                              capsys):
+        # the stub's own n is a side size: K_{3,3} has 6 vertices
+        cfg = tmp_path / "k33.json"
+        assert main(["generate", "bipartite", "--n", "3", "--out",
+                     str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--explorer", "adaptive"]) == 0
+        instance = json.loads(capsys.readouterr().out)["instance"]
+        assert instance == {"file": str(cfg), "n": 6, "family": "bipartite",
+                            "alpha": "2"}
 
     def test_generate_recursive_sizes(self, tmp_path):
         cfg = tmp_path / "rec.json"

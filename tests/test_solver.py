@@ -72,10 +72,10 @@ def test_empty_must_visit_reduces_to_shortest_path():
     w = {0: F(1), 1: F(1), 2: F(5)}
     task = CoverTask(weights=w, origin=0, destination=2,
                      must_visit=frozenset())
-    _, cost = brute_force_cover(g, task)
-    assert cost == F(2)
-    _, dcost = optimal_cover_walk(g, task)
-    assert dcost == F(2)
+    walk, cost = brute_force_cover(g, task)
+    assert (walk.vertices, cost) == ((0, 1, 2), F(2))
+    dwalk, dcost = optimal_cover_walk(g, task)
+    assert (dwalk.vertices, dcost) == ((0, 1, 2), F(2))
 
 
 def test_closed_walk_origin_equals_destination():
@@ -89,6 +89,12 @@ def test_closed_walk_origin_equals_destination():
     assert set(walk.vertices) == {0, 1, 2, 3}
     _, bcost = brute_force_cover(g, task)
     assert bcost == cost
+    # nothing to visit but the origin: the walk stays put
+    task = CoverTask(weights=w, origin=1, destination=1,
+                     must_visit=frozenset({1}))
+    for oracle in (optimal_cover_walk, brute_force_cover):
+        walk, cost = oracle(g, task)
+        assert (walk.vertices, cost) == ((1,), 0)
 
 
 def test_cap_exceeded_is_loud():
