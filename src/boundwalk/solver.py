@@ -57,7 +57,11 @@ columns lacking i, in order (dropping bit i keeps mask order); the other
 sums are dropped.  The scratch copy of a layer is made from its stored
 rows and dropped after the next step; the top layer makes none.  A
 broadcast holds at most 2**17 cells, splitting a layer by target rows,
-then a row by columns; no index plan is built.
+then a row by columns; no index plan is built.  The masks of layer p are
+made from those of layer p - 1, as byte planes, and only those two
+layers are held; which masks hold or lack bit i is computed one block of
+rows at a time, where the gather and the scatter use it.  So besides its
+table a build holds one dense scratch layer and block-sized temporaries.
 
 A read takes a mask's cells at its own bits: cell (S, j) lies in row j,
 at the column of S minus bit j once the bits above j move down one
@@ -66,8 +70,9 @@ popcount.  Cells are read as stored (the Python kernel's unset ones are
 None), and only a mask's own bits are read.  Up to interior 12 the flat
 index of every cell (an int16 array of 2**m * m) and the per-layer bit
 masks are cached, 0.34 MiB in all, so a read is one `take`; larger
-interiors build bit masks layer by layer and compute a read's indices
-from a rank array of 2**(m - 1) entries.
+interiors compute a read's indices as colex ranks from a Pascal table,
+so after a build the solver holds the table's cells and nothing else of
+their order of size.
 """
 from __future__ import annotations
 
@@ -90,7 +95,8 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_EXACT_CAP = 20
 BRUTE_FORCE_CAP = 10
 # the largest cap a solve accepts: its table has at most 20 * 2**19 cells,
-# 21 MB in int16, 42 MB in int32 and 84 MB in int64
+# 20 MiB in int16, 40 MiB in int32 and 80 MiB in int64, and its build
+# peaks at 24.6, 48.5 and 96.4 MiB (tracemalloc)
 MAX_EXACT_CAP = 22
 
 # numpy pays off once the mask space is non-trivial
@@ -159,92 +165,116 @@ def _suffix_table_py(D: list[list[int]], dest_i: int,
     return g.__getitem__
 
 
-def _popcount_layers(m: int) -> list[np.ndarray]:
-    """The masks over m bits grouped by popcount, each group increasing;
-    int32, since an interior has at most MAX_EXACT_CAP - 2 bits."""
-    layers = [np.zeros(1, dtype=np.int32)]
-    empty = np.zeros(0, dtype=np.int32)
-    for b in range(m):
-        # every mask holding bit b exceeds every mask over the lower bits
-        high = [layer | (1 << b) for layer in layers]
-        layers = [np.concatenate(pair)
-                  for pair in zip(layers + [empty], [empty] + high)]
-    return layers
+def _mask_layers(m: int) -> Iterator[np.ndarray]:
+    """The masks over m bits grouped by popcount, each group increasing,
+    one group at a time, as byte planes: row q of a group holds bits 8q to
+    8q + 7 of its masks.  A p-mask is a (p - 1)-mask below its top bit b,
+    plus b, and the (p - 1)-masks below 2**b are the first C(b, p - 1) of
+    their group."""
+    bit = np.arange(m)
+    # weight[q, b]: bit b's place in plane q, 0 outside its plane
+    weight = np.zeros(((m + 7) // 8, m), dtype=np.uint8)
+    weight[bit >> 3, bit] = 1 << (bit & 7)
+    layer = np.zeros((len(weight), 1), dtype=np.uint8)
+    yield layer
+    for p in range(1, m + 1):
+        counts = [comb(b, p - 1) for b in range(p - 1, m)]
+        layer = np.concatenate([layer[:, :c] for c in counts], axis=1)
+        layer |= np.repeat(weight[:, p - 1:], counts, axis=1)
+        yield layer
 
 
-def _ranks(masks: list[np.ndarray]) -> np.ndarray:
-    """rank[mask]: the column of `mask` within its popcount layer, for the
-    masks over the m - 1 low bits, which lead each layer of `masks`."""
-    m = len(masks) - 1
-    rank = np.empty(1 << (m - 1), dtype=np.int32)
-    for p, layer in enumerate(masks[:m]):
-        low = layer[:comb(m - 1, p)]
-        rank[low] = np.arange(low.size, dtype=np.int32)
-    return rank
-
-
-def _cell_table(masks: list[np.ndarray]) -> np.ndarray:
+def _cell_table(m: int) -> np.ndarray:
     """cells[mask, j]: the flat index of cell (mask, j) in its compact
     layer for every bit j of `mask`, 0 at its other bits: row j of layer
     p, at the rank of mask minus bit j once the bits above j move down
-    one place.  int16, which holds every index up to _PLAN_CACHE_MAX."""
-    m = len(masks) - 1
-    width = np.empty(1 << m, dtype=np.int32)
-    for p, layer in enumerate(masks):
-        width[layer] = layer.size * p // m  # C(m - 1, p - 1)
-    every = np.arange(1 << m, dtype=np.int32)[:, None]
-    bit = 1 << np.arange(m, dtype=np.int32)
-    low = bit - 1
-    rest = every & ~bit
-    down = (rest & low) | ((rest >> 1) & ~low)
-    cells = np.arange(m, dtype=np.int32) * width[:, None] + _ranks(masks)[down]
-    return np.where(every & bit, cells, 0).astype(np.int16)
+    one place, among the masks over m - 1 bits of its popcount, counted
+    in increasing order.  int16, which holds every index up to
+    _PLAN_CACHE_MAX."""
+    every = np.arange(1 << m, dtype=np.int32)
+    count = sum((every >> b) & 1 for b in range(m))
+    # the masks of its popcount below each mask over m - 1 bits
+    rank = np.empty(1 << (m - 1), dtype=np.int32)
+    for p in range(m):
+        rank[count[:rank.size] == p] = np.arange(comb(m - 1, p))
+    width = np.array([comb(m, p) * p // m for p in range(m + 1)],
+                     dtype=np.int32)[count]
+    cells = np.zeros((1 << m, m), dtype=np.int16)
+    for j in range(m):
+        below = (1 << j) - 1
+        rest = every & ~(1 << j)
+        down = (rest & below) | ((rest >> 1) & ~below)
+        holding = (every >> j & 1).astype(bool)
+        cells[holding, j] = (j * width + rank[down])[holding]
+    return cells
 
 
-def _cell_reader(masks: list[np.ndarray]) -> Callable[[int], list[int]]:
-    """`_cell_table`'s row of one mask, computed when read."""
-    m = len(masks) - 1
-    rank = _ranks(masks).item
-    widths = [layer.size * p // m for p, layer in enumerate(masks)]
+def _cell_reader(m: int) -> Callable[[int], list[int]]:
+    """`_cell_table`'s row of one mask, computed when read.  The colex
+    rank of a mask with bits c_0 < c_1 < ... is the sum of C(c_k, k + 1);
+    for bit j = c_t the bits below it keep their place and the bits above
+    move down one, c_k - 1 at index k - 1."""
+    pascal = [[comb(n, k) for k in range(m + 1)] for n in range(m)]
+    widths = [comb(m - 1, p - 1) if p else 0 for p in range(m + 1)]
 
     def cells(mask: int) -> list[int]:
-        width = widths[mask.bit_count()]
+        bits = [j for j in range(m) if mask >> j & 1]
+        # above[t]: what the bits above bits[t] add, each moved down one
+        above = [0] * len(bits)
+        for t in range(len(bits) - 1, 0, -1):
+            above[t - 1] = above[t] + pascal[bits[t] - 1][t]
+        width = widths[len(bits)]
         row = [0] * m
-        for j in range(m):
-            if mask >> j & 1:
-                low = (1 << j) - 1
-                rest = mask ^ (1 << j)
-                row[j] = j * width + rank(rest & low | rest >> 1 & ~low)
+        below = 0
+        for t, j in enumerate(bits):
+            row[j] = j * width + below + above[t]
+            below += pascal[j][t + 1]
         return row
 
     return cells
 
 
-def _layer_bits(masks: list[np.ndarray]) -> Iterator[tuple]:
-    """Per layer p >= 2, (has, lack): has[i] marks the layer-p masks
-    holding bit i, lack[i] the layer-(p-1) masks lacking it.  Dropping
-    bit i keeps mask order, so the k-th mask lacking i, plus i, is the
-    k-th holding it.  Built one layer at a time, as needed, `has` in
-    blocks of rows within _BLOCK_CELLS."""
-    m = len(masks) - 1
-    bit_weights = (1 << np.arange(m, dtype=np.int32))[:, None]
-    prev_has = np.eye(m, dtype=bool)
-    for p in range(2, m + 1):
-        has = np.empty((m, masks[p].size), dtype=bool)
-        rows = max(1, _BLOCK_CELLS // masks[p].size)
-        for lo in range(0, m, rows):
-            np.not_equal(masks[p] & bit_weights[lo:lo + rows], 0,
-                         out=has[lo:lo + rows])
-        yield has, ~prev_has
-        prev_has = has
+class _Bits:
+    """One layer's bit matrix, computed a block of rows at a time:
+    bits[rows][i - rows.start, k] marks whether the k-th mask holds bit i
+    (`holding`), or lacks it.  The masks come as byte planes, plane q
+    holding bits 8q to 8q + 7, so a row reads one byte a mask."""
+
+    def __init__(self, planes: np.ndarray, where: tuple, holding: bool
+                 ) -> None:
+        self.planes = planes
+        self.where = where  # bit i's plane and its weight in that plane
+        self.holding = holding
+        self.shape = (len(where[0]), planes.shape[1])  # the whole array's
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        plane, weight = self.where
+        hit = self.planes[plane[rows]] & weight[rows]
+        return hit != 0 if self.holding else hit == 0
+
+
+def _layer_bits(m: int) -> Iterator[tuple[_Bits, _Bits]]:
+    """Per layer p >= 2, (has, lack): has[rows] marks the layer-p masks
+    holding bit i, lack[rows] the layer-(p-1) masks lacking it, for each
+    i in `rows`.  Dropping bit i keeps mask order, so the k-th mask
+    lacking i, plus i, is the k-th holding it.  Only the masks of layers
+    p - 1 and p are held."""
+    bit = np.arange(m)
+    where = (bit >> 3, (1 << (bit & 7)).astype(np.uint8)[:, None])
+    layers = _mask_layers(m)
+    next(layers)
+    below = next(layers)
+    for layer in layers:
+        yield _Bits(layer, where, True), _Bits(below, where, False)
+        below = layer
 
 
 @lru_cache(maxsize=None)
 def _cached_plan(m: int) -> tuple[np.ndarray, list[tuple]]:
-    """`_plan` held in full, its reads as a `_cell_table`."""
-    masks = _popcount_layers(m)
-    cells = _cell_table(masks)
-    steps = list(_layer_bits(masks))
+    """`_plan` held in full: its reads as a `_cell_table`, its bits as
+    whole arrays."""
+    cells = _cell_table(m)
+    steps = [(has[:m], lack[:m]) for has, lack in _layer_bits(m)]
     # every solve of this size shares these arrays
     for array in [cells] + [a for step in steps for a in step]:
         array.flags.writeable = False
@@ -252,11 +282,10 @@ def _cached_plan(m: int) -> tuple[np.ndarray, list[tuple]]:
 
 
 def _plan(m: int) -> tuple[Callable[[int], Sequence[int]], Iterable[tuple]]:
-    """The cell indices of a mask's column, and the per-layer masks of
+    """The cell indices of a mask's column, and the per-layer bits of
     `_layer_bits`, cached for interiors up to _PLAN_CACHE_MAX."""
     if m > _PLAN_CACHE_MAX:
-        masks = _popcount_layers(m)
-        return _cell_reader(masks), _layer_bits(masks)
+        return _cell_reader(m), _layer_bits(m)
     cells, steps = _cached_plan(m)
     return cells.__getitem__, steps
 
@@ -291,10 +320,12 @@ def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
         # masks holding i, C(m - 1, p - 1) of them
         rows = max(1, _BLOCK_CELLS // prev.size)
         if rows >= m:  # one broadcast for the layer, no spans to track
-            kept = (prev[:, None] + DU[:, :, None]).min(axis=0)[lack]
+            kept = (prev[:, None] + DU[:, :, None]).min(axis=0)[lack[:m]]
             kept = kept.reshape(m, -1)
         else:
             kept = np.empty((m, has.shape[1] * p // m), dtype=dtype)
+            if prev.size <= _BLOCK_CELLS:  # the layer's bits at once
+                lack = lack[:m]
             for lo in range(0, m, rows):
                 block = slice(lo, lo + rows)
                 y = _min_plus(prev, DU[:, block])
@@ -303,7 +334,13 @@ def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
         if p < m:  # a dense layer feeds the next step, then goes
             del prev
             prev = np.full(has.shape, unset, dtype=dtype)
-            prev[has] = kept.ravel()
+            rows = max(1, _BLOCK_CELLS // has.shape[1])
+            if rows >= m:  # the layer's bits in one block
+                prev[has[:m]] = kept.ravel()
+            else:
+                for lo in range(0, m, rows):
+                    block = slice(lo, lo + rows)
+                    prev[block][has[block]] = kept[block].ravel()
 
     def column(mask: int) -> list[int]:
         return table[mask.bit_count()].take(cells(mask)).tolist()

@@ -224,16 +224,20 @@ def test_numpy_and_python_kernels_agree(monkeypatch):
 @pytest.mark.parametrize("block", ["one cell", "rows", "columns"])
 def test_kernel_blocks_agree(monkeypatch, block):
     # a layer whose broadcast exceeds _BLOCK_CELLS is split by target
-    # rows, and a row that exceeds it by columns; layer 2 has m columns
+    # rows, and a row that exceeds it by columns; layer 2 has m columns.
+    # Three rows a block, so past the plan cache, where a block's bits are
+    # computed from the masks' byte planes, a block straddles bit 8
     for D, dtype in _kernel_cases(seeds=1):
         m = len(D) - 2
-        cells = {"one cell": 1, "rows": 2 * m * m, "columns": m * m // 2}
+        cells = {"one cell": 1, "rows": 3 * m * m, "columns": m * m // 2}
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_BLOCK_CELLS", cells[block])
             rows = max(1, cells[block] // (m * m))
             cols = max(1, cells[block] // (m * rows))
             assert (1 < rows < m) == (block == "rows")
             assert (cols < m) == (block != "rows")
+            _agree(D, dtype)
+            patch.setattr(solver, "_PLAN_CACHE_MAX", 0)
             _agree(D, dtype)
 
 
@@ -327,20 +331,54 @@ def test_numpy_table_holds_only_set_cells(m, dtype):
 
 
 def test_numpy_build_peak_memory():
-    # one int16 build at interior 16, past the plan cache: the table is
-    # 1 MiB; the dense scratch layers, the per-layer bit masks and the
-    # build's temporaries add the rest (3.06 MiB when every layer was
-    # stored dense)
-    m = 16
+    # one build at interior 18 in each dtype, past the plan cache: besides
+    # the table it holds one dense scratch layer, two layers of masks and
+    # block-sized temporaries; afterwards only the table's cells and the
+    # reader's small Pascal table stay
+    m = 18
     D = _random_closure(m, seed=0)
-    tracemalloc.start()
-    try:
-        column = _suffix_table_np(D, m + 1, list(range(1, m + 1)), np.int16)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.75 * (1 << 20)
-    assert sum(layer.nbytes for layer in _held_layers(column)) == 1 << 20
+    for dtype in (np.int16, np.int32, np.int64):
+        table = m * 2 ** (m - 1) * np.dtype(dtype).itemsize
+        tracemalloc.start()
+        try:
+            column = _suffix_table_np(D, m + 1, list(range(1, m + 1)), dtype)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(layer.nbytes for layer in _held_layers(column)) == table
+        assert peak <= 1.35 * table, dtype
+        assert held - table < 64 << 10, dtype
+        del column
+
+
+def test_mask_layers_group_every_mask_by_popcount():
+    # each layer, as integers from its byte planes, is every mask over m
+    # bits of its popcount in increasing order: C(m, p) of them
+    for m in range(1, 17):
+        every = np.arange(1 << m)
+        count = sum((every >> b) & 1 for b in range(m))
+        layers = list(solver._mask_layers(m))
+        assert len(layers) == m + 1
+        for p, planes in enumerate(layers):
+            assert planes.dtype == np.uint8
+            masks = sum(plane.astype(np.int64) << 8 * q
+                        for q, plane in enumerate(planes))
+            assert masks.size == comb(m, p)
+            assert np.array_equal(masks, every[count == p]), (m, p)
+
+
+def test_cell_reader_matches_the_cell_table():
+    # the reader past the plan cache and the cached table compute a cell's
+    # column apart (Pascal sums against a popcount sort); they agree at
+    # every mask's own bits, for every mask of every cached interior
+    for m in range(solver._NUMPY_MIN_INTERIOR, solver._PLAN_CACHE_MAX + 1):
+        reader = solver._cell_reader(m)
+        table = solver._cell_table(m)
+        for mask in range(1, 1 << m):
+            bits = [j for j in range(m) if mask >> j & 1]
+            row = reader(mask)
+            assert [row[j] for j in bits] == table[mask, bits].tolist(), \
+                (m, mask)
 
 
 def test_stale_kept_table_fails_the_solve(monkeypatch):
