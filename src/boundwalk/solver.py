@@ -58,10 +58,11 @@ sums are dropped.  The scratch copy of a layer is made from its stored
 rows and dropped after the next step; the top layer makes none.  A
 broadcast holds at most 2**17 cells, splitting a layer by target rows,
 then a row by columns; no index plan is built.  The masks of layer p are
-made from those of layer p - 1, as byte planes, and only those two
-layers are held; which masks hold or lack bit i is computed one block of
-rows at a time, where the gather and the scatter use it.  So besides its
-table a build holds one dense scratch layer and block-sized temporaries.
+made from those of layer p - 1, as byte planes, and a build holds at
+most two layers of masks and the temporary that makes the next; which
+masks hold or lack bit i is computed one block of rows at a time, where
+the gather and the scatter use it.  So besides its table a build holds
+one dense scratch layer, those masks and block-sized temporaries.
 
 A read takes a mask's cells at its own bits: cell (S, j) lies in row j,
 at the column of S minus bit j once the bits above j move down one
@@ -185,12 +186,12 @@ def _mask_layers(m: int) -> Iterator[np.ndarray]:
 
 
 def _cell_table(m: int) -> np.ndarray:
-    """cells[mask, j]: the flat index of cell (mask, j) in its compact
-    layer for every bit j of `mask`, 0 at its other bits: row j of layer
-    p, at the rank of mask minus bit j once the bits above j move down
-    one place, among the masks over m - 1 bits of its popcount, counted
-    in increasing order.  int16, which holds every index up to
-    _PLAN_CACHE_MAX."""
+    """`_cell_reader`'s rows of every mask over m bits, computed one bit
+    column at a time for all masks, the masks of each popcount ranked by
+    counting them in increasing order; int16, which holds every index up
+    to _PLAN_CACHE_MAX.  Calling the reader for each mask took about ten
+    times as long (45 against 4 ms for m = 5..12 on a 2-core host), a
+    cost every sweep pool worker pays again."""
     every = np.arange(1 << m, dtype=np.int32)
     count = sum((every >> b) & 1 for b in range(m))
     # the masks of its popcount below each mask over m - 1 bits
@@ -210,10 +211,14 @@ def _cell_table(m: int) -> np.ndarray:
 
 
 def _cell_reader(m: int) -> Callable[[int], list[int]]:
-    """`_cell_table`'s row of one mask, computed when read.  The colex
-    rank of a mask with bits c_0 < c_1 < ... is the sum of C(c_k, k + 1);
-    for bit j = c_t the bits below it keep their place and the bits above
-    move down one, c_k - 1 at index k - 1."""
+    """cells(mask)[j]: the flat index of cell (mask, j) in its compact
+    layer for every bit j of `mask`, 0 at its other bits: row j of layer
+    p, at the rank of mask minus bit j once the bits above j move down
+    one place, among the masks over m - 1 bits of its popcount, counted
+    in increasing order.  That colex rank, of a mask with bits c_0 < c_1
+    < ..., is the sum of C(c_k, k + 1); for bit j = c_t the bits below it
+    keep their place and the bits above move down one, c_k - 1 at index
+    k - 1."""
     pascal = [[comb(n, k) for k in range(m + 1)] for n in range(m)]
     widths = [comb(m - 1, p - 1) if p else 0 for p in range(m + 1)]
 
@@ -257,8 +262,9 @@ def _layer_bits(m: int) -> Iterator[tuple[_Bits, _Bits]]:
     """Per layer p >= 2, (has, lack): has[rows] marks the layer-p masks
     holding bit i, lack[rows] the layer-(p-1) masks lacking it, for each
     i in `rows`.  Dropping bit i keeps mask order, so the k-th mask
-    lacking i, plus i, is the k-th holding it.  Only the masks of layers
-    p - 1 and p are held."""
+    lacking i, plus i, is the k-th holding it.  A step holds the masks
+    of layers p - 1 and p; once the caller drops it, making layer p + 1
+    holds layers p and p + 1 and one temporary of layer p + 1's size."""
     bit = np.arange(m)
     where = (bit >> 3, (1 << (bit & 7)).astype(np.uint8)[:, None])
     layers = _mask_layers(m)
@@ -324,8 +330,6 @@ def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
             kept = kept.reshape(m, -1)
         else:
             kept = np.empty((m, has.shape[1] * p // m), dtype=dtype)
-            if prev.size <= _BLOCK_CELLS:  # the layer's bits at once
-                lack = lack[:m]
             for lo in range(0, m, rows):
                 block = slice(lo, lo + rows)
                 y = _min_plus(prev, DU[:, block])
@@ -335,12 +339,11 @@ def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
             del prev
             prev = np.full(has.shape, unset, dtype=dtype)
             rows = max(1, _BLOCK_CELLS // has.shape[1])
-            if rows >= m:  # the layer's bits in one block
-                prev[has[:m]] = kept.ravel()
-            else:
-                for lo in range(0, m, rows):
-                    block = slice(lo, lo + rows)
-                    prev[block][has[block]] = kept[block].ravel()
+            for lo in range(0, m, rows):
+                block = slice(lo, lo + rows)
+                prev[block][has[block]] = kept[block].ravel()
+        # the layer below goes before the next layer's masks are made
+        del has, lack
 
     def column(mask: int) -> list[int]:
         return table[mask.bit_count()].take(cells(mask)).tolist()

@@ -367,18 +367,29 @@ def test_mask_layers_group_every_mask_by_popcount():
             assert np.array_equal(masks, every[count == p]), (m, p)
 
 
-def test_cell_reader_matches_the_cell_table():
-    # the reader past the plan cache and the cached table compute a cell's
-    # column apart (Pascal sums against a popcount sort); they agree at
-    # every mask's own bits, for every mask of every cached interior
+def test_cell_reader_and_table_match_a_sorted_layout():
+    # the reader's Pascal sums and the cached table's popcount counting
+    # both give cell (mask, j) the place the compact layout defines: row
+    # j, at the index of mask minus bit j (the bits above j moved down
+    # one) in the sorted list of the masks over m - 1 bits of its popcount
     for m in range(solver._NUMPY_MIN_INTERIOR, solver._PLAN_CACHE_MAX + 1):
+        ranks = {}
+        for p in range(m):
+            layer = sorted(s for s in range(1 << (m - 1))
+                           if s.bit_count() == p)
+            ranks.update((s, k) for k, s in enumerate(layer))
         reader = solver._cell_reader(m)
         table = solver._cell_table(m)
-        for mask in range(1, 1 << m):
-            bits = [j for j in range(m) if mask >> j & 1]
-            row = reader(mask)
-            assert [row[j] for j in bits] == table[mask, bits].tolist(), \
-                (m, mask)
+        for mask in range(1 << m):
+            width = comb(m - 1, mask.bit_count() - 1) if mask else 0
+            want = [0] * m
+            for j in range(m):
+                if mask >> j & 1:
+                    rest = mask ^ 1 << j
+                    down = rest & (1 << j) - 1 | rest >> (j + 1) << j
+                    want[j] = j * width + ranks[down]
+            assert reader(mask) == want, (m, mask)
+            assert table[mask].tolist() == want, (m, mask)
 
 
 def test_stale_kept_table_fails_the_solve(monkeypatch):
