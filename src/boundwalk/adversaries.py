@@ -436,9 +436,7 @@ def build_grid_trap(spec: GridSpec, *,
         raise GridTrapError(
             f"trap not effective for m={m}, alpha={alpha}: certificate "
             f"cost {certificate.cost} exceeds bound {bound}")
-    if (certificate.vertices[0] != graph.start
-            or certificate.vertices[-1] != graph.end
-            or set(certificate.vertices) != set(range(n))):
+    if not certificate.covers(graph):
         raise GridTrapError("certificate walk is not a covering s-t walk")
 
     verified = False

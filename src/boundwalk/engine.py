@@ -319,9 +319,7 @@ def run_episode(graph: EstimateGraph, source: WeightSource, explorer: Explorer,
             problems = walk_violations(graph, walk, assignment.weights)
             if problems:
                 raise EngineError(f"invalid certificate walk: {problems}")
-            if (walk.vertices[0] != graph.start
-                    or walk.vertices[-1] != graph.end
-                    or set(walk.vertices) != set(range(n))):
+            if not walk.covers(graph):
                 raise EngineError("certificate walk does not cover the "
                                   "instance from start to end")
             candidates.append(walk.cost)

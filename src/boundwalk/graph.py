@@ -150,6 +150,13 @@ class Walk:
     def cost(self) -> Fraction:
         return sum(self.step_costs, Fraction(0))
 
+    def covers(self, graph: EstimateGraph) -> bool:
+        """Whether the walk starts at s, ends at t and visits every vertex
+        of `graph`."""
+        return (self.vertices[0] == graph.start
+                and self.vertices[-1] == graph.end
+                and set(self.vertices) == set(range(graph.vertex_count)))
+
 
 def validate(graph: EstimateGraph) -> list[str]:
     """Every violated invariant, naming its instance field; empty iff valid."""

@@ -68,12 +68,13 @@ A read takes a mask's cells at its own bits: cell (S, j) lies in row j,
 at the column of S minus bit j once the bits above j move down one
 place, i.e. that mask's rank among the masks over m - 1 bits of its
 popcount.  Cells are read as stored (the Python kernel's unset ones are
-None), and only a mask's own bits are read.  Up to interior 12 the flat
-index of every cell (an int16 array of 2**m * m) and the per-layer bit
-masks are cached, 0.34 MiB in all, so a read is one `take`; larger
-interiors compute a read's indices as colex ranks from a Pascal table,
-so after a build the solver holds the table's cells and nothing else of
-their order of size.
+None), and only a mask's own bits are read.  A read's indices are colex
+ranks from a Pascal table, computed by `_cell_reader` alone.  Up to
+interior 12 the per-layer bit masks are cached, and each mask's indices
+are kept in an int16 row table of 2**m * m as the mask is first read, so
+a read repeated is one `take`; every cached size together holds 0.35
+MiB.  Past interior 12 nothing is kept, so after a build the solver
+holds the table's cells and nothing else of their order of size.
 """
 from __future__ import annotations
 
@@ -102,7 +103,8 @@ MAX_EXACT_CAP = 22
 
 # numpy pays off once the mask space is non-trivial
 _NUMPY_MIN_INTERIOR = 5
-# interiors up to this size keep their kernel masks cached
+# interiors up to this size keep their kernel bits cached and their read
+# rows as first read
 _PLAN_CACHE_MAX = 12
 # cells of one min-plus broadcast, unless a single row of m cells is more:
 # a layer's target rows are split first, then its columns
@@ -185,31 +187,6 @@ def _mask_layers(m: int) -> Iterator[np.ndarray]:
         yield layer
 
 
-def _cell_table(m: int) -> np.ndarray:
-    """`_cell_reader`'s rows of every mask over m bits, computed one bit
-    column at a time for all masks, the masks of each popcount ranked by
-    counting them in increasing order; int16, which holds every index up
-    to _PLAN_CACHE_MAX.  Calling the reader for each mask took about ten
-    times as long (45 against 4 ms for m = 5..12 on a 2-core host), a
-    cost every sweep pool worker pays again."""
-    every = np.arange(1 << m, dtype=np.int32)
-    count = sum((every >> b) & 1 for b in range(m))
-    # the masks of its popcount below each mask over m - 1 bits
-    rank = np.empty(1 << (m - 1), dtype=np.int32)
-    for p in range(m):
-        rank[count[:rank.size] == p] = np.arange(comb(m - 1, p))
-    width = np.array([comb(m, p) * p // m for p in range(m + 1)],
-                     dtype=np.int32)[count]
-    cells = np.zeros((1 << m, m), dtype=np.int16)
-    for j in range(m):
-        below = (1 << j) - 1
-        rest = every & ~(1 << j)
-        down = (rest & below) | ((rest >> 1) & ~below)
-        holding = (every >> j & 1).astype(bool)
-        cells[holding, j] = (j * width + rank[down])[holding]
-    return cells
-
-
 def _cell_reader(m: int) -> Callable[[int], list[int]]:
     """cells(mask)[j]: the flat index of cell (mask, j) in its compact
     layer for every bit j of `mask`, 0 at its other bits: row j of layer
@@ -276,24 +253,33 @@ def _layer_bits(m: int) -> Iterator[tuple[_Bits, _Bits]]:
 
 
 @lru_cache(maxsize=None)
-def _cached_plan(m: int) -> tuple[np.ndarray, list[tuple]]:
-    """`_plan` held in full: its reads as a `_cell_table`, its bits as
-    whole arrays."""
-    cells = _cell_table(m)
+def _cached_plan(m: int) -> tuple[Callable[[int], np.ndarray], list[tuple]]:
+    """`_plan` memoised: `_cell_reader`'s row of each mask, kept in an
+    int16 table (which holds every index up to _PLAN_CACHE_MAX) as it is
+    first read, and the bits as whole arrays."""
+    reader = _cell_reader(m)
+    rows = np.zeros((1 << m, m), dtype=np.int16)
+    filled = bytearray(1 << m)
+
+    def cells(mask: int) -> np.ndarray:
+        if not filled[mask]:
+            rows[mask] = reader(mask)
+            filled[mask] = 1
+        return rows[mask]
+
     steps = [(has[:m], lack[:m]) for has, lack in _layer_bits(m)]
     # every solve of this size shares these arrays
-    for array in [cells] + [a for step in steps for a in step]:
+    for array in [a for step in steps for a in step]:
         array.flags.writeable = False
     return cells, steps
 
 
 def _plan(m: int) -> tuple[Callable[[int], Sequence[int]], Iterable[tuple]]:
     """The cell indices of a mask's column, and the per-layer bits of
-    `_layer_bits`, cached for interiors up to _PLAN_CACHE_MAX."""
+    `_layer_bits`, memoised for interiors up to _PLAN_CACHE_MAX."""
     if m > _PLAN_CACHE_MAX:
         return _cell_reader(m), _layer_bits(m)
-    cells, steps = _cached_plan(m)
-    return cells.__getitem__, steps
+    return _cached_plan(m)
 
 
 def _min_plus(prev: np.ndarray, DU: np.ndarray) -> np.ndarray:
@@ -325,6 +311,7 @@ def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
         # row i keeps y[i] at the columns lacking i, in order: the layer-p
         # masks holding i, C(m - 1, p - 1) of them
         rows = max(1, _BLOCK_CELLS // prev.size)
+        # kept: the block loop alone solved interiors 5-10 1.1-1.5x slower
         if rows >= m:  # one broadcast for the layer, no spans to track
             kept = (prev[:, None] + DU[:, :, None]).min(axis=0)[lack[:m]]
             kept = kept.reshape(m, -1)
@@ -482,12 +469,10 @@ def parse_cap(value: int | str) -> int:
     return cap
 
 
-def _required(origin: int, destination: int, must_visit: frozenset[int],
-              cap: int, oracle: str) -> tuple[int, ...]:
-    """The sorted required vertices of a solve, refused beyond `cap`
-    before any work."""
+def _required(task: CoverTask, cap: int, oracle: str) -> tuple[int, ...]:
+    """`task.required_vertices()`, refused beyond `cap` before any work."""
     parse_cap(cap)
-    required = tuple(sorted(must_visit | {origin, destination}))
+    required = task.required_vertices()
     if len(required) > cap:
         raise SolverCapExceeded(
             f"instance too large for {oracle}: {len(required)} required "
@@ -521,8 +506,7 @@ def _solve(graph: EstimateGraph, task: CoverTask, cap: int, oracle: str,
     """`_integer_walk` on a fresh `Distances` of `task.weights`, with the
     Fraction epilogue of the two oracles, which differ only in
     `order_search`."""
-    required = _required(task.origin, task.destination, task.must_visit,
-                         cap, oracle)
+    required = _required(task, cap, oracle)
     distances = Distances(graph, task.weights)
     vertices, total = _integer_walk(distances, required, task.origin,
                                     task.destination, order_search)
@@ -558,9 +542,8 @@ def worst_case_cover_walk(graph: EstimateGraph, view: "KnowledgeView",
                           ) -> tuple[Walk, Fraction]:
     """Cheapest walk finishing the exploration under worst-case pricing."""
     weights = pessimistic_weights(graph, view.revealed)
-    unvisited = frozenset(range(graph.vertex_count)) - view.visited
     task = CoverTask(weights=weights, origin=view.position,
-                     destination=destination, must_visit=unvisited)
+                     destination=destination, must_visit=view.unvisited)
     return optimal_cover_walk(graph, task, cap=cap)
 
 
@@ -570,8 +553,10 @@ def worst_case_plan(view: "KnowledgeView", destination: int,
     """`worst_case_cover_walk` in integers: the walk's vertices and
     `distances.denom` times its cost.  `distances` must hold the view's
     pessimistic weights; `table` keeps a suffix table between calls."""
-    required = _required(view.position, destination, view.unvisited, cap,
-                         "exact oracle")
+    # the task `worst_case_cover_walk` solves, its weights held by `distances`
+    task = CoverTask(weights={}, origin=view.position,
+                     destination=destination, must_visit=view.unvisited)
+    required = _required(task, cap, "exact oracle")
     vertices, total = _integer_walk(distances, required, view.position,
                                     destination, table.order)
     # the integer counterpart of the oracles' `walk.cost == cost`

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction as F
@@ -13,9 +14,10 @@ from boundwalk import (CompleteAdvSpec, GridSpec, InvalidSpec, RecursiveSpec,
                        recursive_certificate_cost, recursive_online_lower_bound,
                        recursive_vertex_count, run_episode, start_episode,
                        validate, walk_violations)
-from boundwalk.adversaries import FAMILIES
+from boundwalk import adversaries
+from boundwalk.adversaries import FAMILIES, GridTrapError, complete_graph
 from boundwalk.engine import FixedAssignment
-from boundwalk.graph import MAX_VERTICES
+from boundwalk.graph import MAX_VERTICES, Walk
 from boundwalk.instance_io import instance_to_dict
 
 
@@ -66,6 +68,18 @@ class TestRecursiveFamily:
             RecursiveSpec(2, -1, F(2)).validated()
         with pytest.raises(InvalidSpec):
             RecursiveSpec(2, 1, F(1)).validated()
+
+    def test_completion_of_untouched_pairs_uses_smaller_ids(self):
+        # vertex 0, then two level-0 paths 1-2-3 and 4-5-6, then vertex 7;
+        # after a visit to 0 alone, neither pair of a connector between
+        # the paths is touched: the smaller endpoint governs, and each
+        # pair's start side is its smaller vertex
+        bundle = build_recursive(RecursiveSpec(2, 1, F(2)))
+        g = bundle.graph
+        complete = bundle.source.complete
+        assert complete(g.edge_between(1, 4), (0,)) == F(2)
+        assert complete(g.edge_between(3, 4), (0,)) == F(4)
+        assert complete(g.edge_between(3, 6), (0,)) == F(4)
 
     def test_reveals_depend_on_first_touched_side(self):
         bundle = build_recursive(RecursiveSpec(2, 1, F(2)))
@@ -138,6 +152,10 @@ class TestHalfSplitAdversary:
         assert ratios == sorted(ratios)
         assert all(r <= F(3, 2) for r in ratios)
 
+    def test_complete_graph_needs_two_vertices(self):
+        with pytest.raises(InvalidSpec, match="n >= 2"):
+            complete_graph(1, F(2))
+
     def test_alpha_clamped_above_two(self):
         spec = CompleteAdvSpec(3, F(5, 2)).validated()
         assert spec.alpha == F(2)
@@ -186,6 +204,36 @@ class TestGridTrap:
         assert "exact-solver cap" in bundle.skip_reason
         assert bundle.certificate.cost <= bundle.certificate_bound
         assert set(bundle.certificate.vertices) == set(range(36))
+
+    @pytest.mark.parametrize("fault, message", [
+        ("costly", "certificate cost"),
+        ("short", "not a covering s-t walk")])
+    def test_bad_certificate_refuses_the_build(self, monkeypatch, fault,
+                                               message):
+        certify = adversaries._grid_certificate
+
+        def certificate(graph, assignment, m):
+            walk = certify(graph, assignment, m)
+            if fault == "costly":
+                return Walk(walk.vertices,
+                            tuple(4 * c for c in walk.step_costs))
+            return Walk(walk.vertices[:-1], walk.step_costs[:-1])
+
+        monkeypatch.setattr(adversaries, "_grid_certificate", certificate)
+        with pytest.raises(GridTrapError, match=message):
+            build_grid_trap(GridSpec(4, F(3, 2)), verify_adaptive=False)
+
+    def test_cheaper_replanning_refuses_the_build(self, monkeypatch):
+        episode = adversaries.run_episode
+
+        def cheaper(*args, **kwargs):
+            report = episode(*args, **kwargs)
+            return dataclasses.replace(report,
+                                       online_cost=report.online_cost - 1)
+
+        monkeypatch.setattr(adversaries, "run_episode", cheaper)
+        with pytest.raises(GridTrapError, match="replanning explorer paid"):
+            build_grid_trap(GridSpec(4, F(3, 2)))
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(InvalidSpec):

@@ -46,6 +46,19 @@ class TestStartEpisode:
         assert len(view.revealed) == 7
         assert all(w == F(1) for w in view.revealed.values())
 
+    def test_view_check_catches_a_dropped_start_reveal(self, monkeypatch):
+        g, src = p3()
+        honest = engine._reveal_incident
+
+        def dropping(graph, source, revealed, vertex, seq):
+            events = honest(graph, source, revealed, vertex, seq)
+            del revealed[events[0].edge]
+            return events
+
+        monkeypatch.setattr(engine, "_reveal_incident", dropping)
+        with pytest.raises(EngineError, match="reveal set does not match"):
+            start_episode(g, src)
+
     def test_out_of_interval_reveal_is_adversary_fault(self):
         g = EstimateGraph(2, [Edge(0, 1, F(1), F(2))], 0, 1)
         src = FixedAssignment(WeightAssignment({0: F(3)}))
@@ -215,7 +228,8 @@ class TestRunEpisode:
 
     @pytest.mark.parametrize("vertices, costs, message", [
         ((0, 1, 2), (F(1), F(5)), "invalid certificate walk"),
-        ((0, 1), (F(1),), "does not cover")])
+        ((0, 1), (F(1),), "does not cover"),
+        ((1, 0, 1, 2), (F(1), F(1), F(1)), "does not cover")])
     def test_certificate_refused(self, vertices, costs, message):
         # beyond the oracle cap a certificate counts only once checked
         g, src = p3()

@@ -65,6 +65,18 @@ class TestPrecompute:
         assert [m.target for m in rep.moves] == [1, 2, 3]
         assert rep.online_cost == F(6)
 
+    def test_replay_refuses_a_view_off_its_walk(self):
+        # asked twice at the start, the replay expects to be at its
+        # second vertex
+        g = EstimateGraph(3, [Edge(0, 1, F(1), F(1)),
+                              Edge(1, 2, F(1), F(1))], 0, 2)
+        src = FixedAssignment(WeightAssignment({0: F(1), 1: F(1)}))
+        explorer = make_explorer("precompute")
+        view = start_episode(g, src)
+        assert explorer.decide(view) == 1
+        with pytest.raises(RuntimeError, match="desynchronized"):
+            explorer.decide(view)
+
     def test_cap_exceeded_propagates(self):
         g = complete_graph(12, F(2))
         src = FixedAssignment(WeightAssignment(

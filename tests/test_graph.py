@@ -7,7 +7,7 @@ from boundwalk import (AlphaProfile, CoverTask, Edge, EstimateGraph, GridSpec,
                        alpha_of, brute_force_cover, build_grid_trap,
                        complete_graph, optimal_cover_walk, random_instance,
                        validate, walk_of_vertices, walk_violations)
-from boundwalk.graph import MAX_VERTICES, Distances
+from boundwalk.graph import MAX_VERTICES, Distances, Walk
 
 
 def path_graph(weights, intervals=None):
@@ -329,3 +329,14 @@ class TestWalk:
         g = path_graph([1, 1])
         with pytest.raises(ValueError):
             walk_of_vertices(g, [0, 2], {0: F(1), 1: F(1)})
+
+    @pytest.mark.parametrize("vertices, costs, problems", [
+        ((), (), ["walk has no vertices"]),
+        ((0, 1, 2), (F(1),),
+         ["step cost count does not match vertex count"]),
+        ((0, 2, 1), (F(1), F(1)),
+         ["step 0: vertices 0,2 not adjacent"])])
+    def test_violations_name_each_fault(self, vertices, costs, problems):
+        g = path_graph([1, 1])
+        w = {0: F(1), 1: F(1)}
+        assert walk_violations(g, Walk(vertices, costs), w) == problems

@@ -297,22 +297,35 @@ def test_dp_matches_brute_force_near_the_int16_limit(r, reach, ties, seed):
     assert (walk.vertices, cost) == (bwalk.vertices, bcost)
 
 
+def _held(fn):
+    """The variables the closure `fn` holds, by name."""
+    return dict(zip(fn.__code__.co_freevars,
+                    (cell.cell_contents for cell in fn.__closure__)))
+
+
 def test_cached_plans_stay_small():
-    # every cached plan together, arrays only: the cell indices a read
-    # takes and the per-layer bit masks of the build
+    # every cached plan together, arrays only: the read rows, their filled
+    # flags and the per-layer bit masks of the build
     total = 0
     for m in range(solver._NUMPY_MIN_INTERIOR, solver._PLAN_CACHE_MAX + 1):
         cells, steps = solver._cached_plan(m)
-        total += cells.nbytes
+        held = _held(cells)
+        total += held["rows"].nbytes + len(held["filled"])
         total += sum(has.nbytes + lack.nbytes for has, lack in steps)
     assert total < 1 << 19
 
 
+def test_read_rows_hold_every_cached_index():
+    # a cell's flat index lies below its table's m * 2**(m - 1) cells, so
+    # int16 read rows hold every index of an interior up to the cache's
+    m = solver._PLAN_CACHE_MAX
+    rows = _held(solver._cached_plan(m)[0])["rows"]
+    assert m * 2 ** (m - 1) <= np.iinfo(rows.dtype).max + 1
+
+
 def _held_layers(column):
     """The layers a numpy `column` reads, from its closure."""
-    held = dict(zip(column.__code__.co_freevars,
-                    (cell.cell_contents for cell in column.__closure__)))
-    return held["table"][1:]
+    return _held(column)["table"][1:]
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
@@ -368,10 +381,11 @@ def test_mask_layers_group_every_mask_by_popcount():
 
 
 def test_cell_reader_and_table_match_a_sorted_layout():
-    # the reader's Pascal sums and the cached table's popcount counting
-    # both give cell (mask, j) the place the compact layout defines: row
-    # j, at the index of mask minus bit j (the bits above j moved down
-    # one) in the sorted list of the masks over m - 1 bits of its popcount
+    # the reader's Pascal sums, and the cached plan's rows kept from them,
+    # give cell (mask, j) the place the compact layout defines: row j, at
+    # the index of mask minus bit j (the bits above j moved down one) in
+    # the sorted list of the masks over m - 1 bits of its popcount; each
+    # read keeps its row
     for m in range(solver._NUMPY_MIN_INTERIOR, solver._PLAN_CACHE_MAX + 1):
         ranks = {}
         for p in range(m):
@@ -379,7 +393,7 @@ def test_cell_reader_and_table_match_a_sorted_layout():
                            if s.bit_count() == p)
             ranks.update((s, k) for k, s in enumerate(layer))
         reader = solver._cell_reader(m)
-        table = solver._cell_table(m)
+        table, _ = solver._cached_plan(m)
         for mask in range(1 << m):
             width = comb(m - 1, mask.bit_count() - 1) if mask else 0
             want = [0] * m
@@ -389,7 +403,8 @@ def test_cell_reader_and_table_match_a_sorted_layout():
                     down = rest & (1 << j) - 1 | rest >> (j + 1) << j
                     want[j] = j * width + ranks[down]
             assert reader(mask) == want, (m, mask)
-            assert table[mask].tolist() == want, (m, mask)
+            assert table(mask).tolist() == want, (m, mask)
+        assert all(_held(table)["filled"])
 
 
 def test_stale_kept_table_fails_the_solve(monkeypatch):
