@@ -17,9 +17,11 @@ from functools import partial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .engine import FixedAssignment, WeightSource, run_episode
-from .graph import (MAX_VERTICES, Distances, Edge, EstimateGraph, Walk,
-                    WeightAssignment, _as_fraction, _read_field, alpha_of,
-                    parse_int, validate, walk_of_vertices)
+from .explorers import AdaptiveExplorer
+from .graph import (MAX_VERTICES, Edge, EstimateGraph, Walk,
+                    WeightAssignment, _as_fraction, _read_field,
+                    _refuse_unknown, alpha_of, parse_int, validate,
+                    walk_of_vertices)
 from .solver import DEFAULT_EXACT_CAP
 
 
@@ -29,6 +31,15 @@ class InvalidSpec(ValueError):
 
 class GridTrapError(Exception):
     """Grid construction failed its build-time self-check."""
+
+
+class Instance(NamedTuple):
+    """A built instance; `certificate(realized assignment)` gives the
+    offline walk used beyond the exact oracle."""
+
+    graph: EstimateGraph
+    source: WeightSource
+    certificate: Callable[[WeightAssignment], Walk] | None
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +198,7 @@ class RecursiveBundle:
     spec: RecursiveSpec
     root: _Component = field(repr=False)
 
-    def certificate(self, assignment: WeightAssignment,
-                    visit_seq: Sequence[int]) -> Walk:
+    def certificate(self, assignment: WeightAssignment) -> Walk:
         """Offline walk of the proof's shape, priced on realized weights.
 
         Traverses the component row sequentially; the entry anchor of each
@@ -334,27 +344,19 @@ def complete_bipartite_graph(n_left: int, n_right: int, alpha: Fraction,
     return EstimateGraph(n, edges, start, end)
 
 
-@dataclass
-class AdversaryBundle:
-    graph: EstimateGraph
-    source: HalvesAdversary
-    spec: CompleteAdvSpec
-
-
-def build_complete_adversary(spec: CompleteAdvSpec) -> AdversaryBundle:
+def build_complete_adversary(spec: CompleteAdvSpec) -> Instance:
     spec = spec.validated()
     graph = complete_graph(2 * spec.k, spec.alpha)
-    source = HalvesAdversary(spec.k, spec.alpha, graph.edges)
-    return AdversaryBundle(graph=graph, source=source, spec=spec)
+    return Instance(graph, HalvesAdversary(spec.k, spec.alpha, graph.edges),
+                    None)
 
 
-def build_bipartite_adversary(spec: CompleteAdvSpec) -> AdversaryBundle:
+def build_bipartite_adversary(spec: CompleteAdvSpec) -> Instance:
     """K_{n,n} with start and end on different sides, analogous phase rule."""
     spec = spec.validated()
     n = spec.k
     graph = complete_bipartite_graph(n, n, spec.alpha, start=0, end=2 * n - 1)
-    source = HalvesAdversary(n, spec.alpha, graph.edges)
-    return AdversaryBundle(graph=graph, source=source, spec=spec)
+    return Instance(graph, HalvesAdversary(n, spec.alpha, graph.edges), None)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +383,7 @@ class GridBundle:
     spec: GridSpec
     expected_online: Fraction          # (m*m - 1) * alpha
     certificate_bound: Fraction        # 6*m*alpha + (m-2)*m
-    adaptive_verified: bool
-    skip_reason: str | None
+    skip_reason: str | None            # None when the self-check simulated
 
 
 def _grid_id(m: int, row: int, col: int) -> int:
@@ -439,31 +440,26 @@ def build_grid_trap(spec: GridSpec, *,
     if not certificate.covers(graph):
         raise GridTrapError("certificate walk is not a covering s-t walk")
 
-    verified = False
-    reason: str | None = None
-    if verify_adaptive:
-        if n <= DEFAULT_EXACT_CAP:
-            from .explorers import AdaptiveExplorer
-            report = run_episode(graph, FixedAssignment(assignment),
-                                 AdaptiveExplorer(cap=DEFAULT_EXACT_CAP),
-                                 oracle_cap=DEFAULT_EXACT_CAP)
-            if report.online_cost != expected_online:
-                raise GridTrapError(
-                    f"trap not effective for m={m}, alpha={alpha}: "
-                    f"replanning explorer paid {report.online_cost}, "
-                    f"expected {expected_online}")
-            verified = True
-        else:
-            reason = (f"adaptive simulation needs exact covering-walk solves "
-                      f"over up to {n} vertices, beyond the exact-solver cap "
-                      f"{DEFAULT_EXACT_CAP}")
-    else:
+    reason = None
+    if not verify_adaptive:
         reason = "adaptive verification disabled"
+    elif n > DEFAULT_EXACT_CAP:
+        reason = (f"adaptive simulation needs exact covering-walk solves "
+                  f"over up to {n} vertices, beyond the exact-solver cap "
+                  f"{DEFAULT_EXACT_CAP}")
+    else:
+        report = run_episode(graph, FixedAssignment(assignment),
+                             AdaptiveExplorer(cap=DEFAULT_EXACT_CAP),
+                             oracle_cap=DEFAULT_EXACT_CAP)
+        if report.online_cost != expected_online:
+            raise GridTrapError(
+                f"trap not effective for m={m}, alpha={alpha}: "
+                f"replanning explorer paid {report.online_cost}, "
+                f"expected {expected_online}")
     return GridBundle(graph=graph, assignment=assignment,
                       certificate=certificate, spec=spec,
                       expected_online=expected_online,
-                      certificate_bound=bound,
-                      adaptive_verified=verified, skip_reason=reason)
+                      certificate_bound=bound, skip_reason=reason)
 
 
 def _ordered_edge(a: int, b: int, alpha: Fraction) -> Edge:
@@ -474,16 +470,18 @@ def _ordered_edge(a: int, b: int, alpha: Fraction) -> Edge:
 
 def _grid_certificate(graph: EstimateGraph, assignment: WeightAssignment,
                       m: int) -> Walk:
-    """Row serpentine through the weight-1 interior rows, plus a cheapest
-    tail back to the end corner when the parities disagree."""
+    """Row serpentine through the weight-1 interior rows.  For even m it
+    ends at (m-1, 0), not at the end corner (0, m-1), and a cheapest tail
+    follows: up column 0 to row 1, along row 1 (weight 1 but its first and
+    last edges), up to row 0, for (m+1)*alpha + m - 3."""
     vertices: list[int] = []
     for row in range(m):
         cols = range(m) if row % 2 == 0 else range(m - 1, -1, -1)
         vertices.extend(_grid_id(m, row, c) for c in cols)
-    end = graph.end
-    if vertices[-1] != end:
-        tail = Distances(graph, assignment.weights).path(vertices[-1], end)
-        vertices.extend(tail[1:])
+    if m % 2 == 0:
+        vertices.extend(_grid_id(m, row, 0) for row in range(m - 2, 0, -1))
+        vertices.extend(_grid_id(m, 1, c) for c in range(1, m))
+        vertices.append(_grid_id(m, 0, m - 1))
     return walk_of_vertices(graph, vertices, assignment.weights)
 
 
@@ -592,15 +590,6 @@ def random_uniform_assignment(graph: EstimateGraph,
 # family table: the one description of each family
 # ---------------------------------------------------------------------------
 
-class Instance(NamedTuple):
-    """A built instance; `certificate(realized assignment, visit sequence)`
-    gives the offline walk used beyond the exact oracle."""
-
-    graph: EstimateGraph
-    source: WeightSource
-    certificate: Callable | None
-
-
 # Theorem bounds as (bound, kind) for an instance of spread alpha: kind
 # "ratio_max" means ratio <= bound, "online_min" online cost >= bound.
 
@@ -632,22 +621,20 @@ def _recursive(p: dict, seed: int, verify_adaptive: bool = False) -> Instance:
 
 
 def _complete(p: dict, seed: int, verify_adaptive: bool = False) -> Instance:
-    bundle = build_complete_adversary(CompleteAdvSpec(p["k"], p["alpha"]))
-    return Instance(bundle.graph, bundle.source, None)
+    return build_complete_adversary(CompleteAdvSpec(p["k"], p["alpha"]))
 
 
 def _bipartite(p: dict, seed: int, verify_adaptive: bool = False) -> Instance:
-    bundle = build_bipartite_adversary(CompleteAdvSpec(p["n"], p["alpha"]))
-    return Instance(bundle.graph, bundle.source, None)
+    return build_bipartite_adversary(CompleteAdvSpec(p["n"], p["alpha"]))
 
 
 def _grid(p: dict, seed: int, verify_adaptive: bool = False) -> Instance:
     bundle = build_grid_trap(GridSpec(p["m"], p["alpha"]),
                              verify_adaptive=verify_adaptive)
-    if verify_adaptive and not bundle.adaptive_verified:
+    if verify_adaptive and bundle.skip_reason is not None:
         warnings.warn(f"adaptive self-check skipped: {bundle.skip_reason}")
     return Instance(bundle.graph, FixedAssignment(bundle.assignment),
-                    lambda assignment, visits: bundle.certificate)
+                    lambda assignment: bundle.certificate)
 
 
 def _random(p: dict, seed: int, verify_adaptive: bool = False) -> Instance:
@@ -691,12 +678,7 @@ class Family:
         alpha outside `alphas` (a missing alpha whose default is outside
         them is a missing one), or the integer parameters whose instance
         would exceed `MAX_VERTICES` (checked before building)."""
-        unknown = sorted(set(raw) - set(self.params))
-        if unknown:
-            raise ValueError(
-                f"unknown parameter{'s' * (len(unknown) > 1)} "
-                f"{', '.join(map(repr, unknown))} (takes "
-                f"{', '.join(self.params)})")
+        _refuse_unknown(raw, self.params, noun="parameter")
         parsed = {name: _read_field(raw, name, *PARAMETERS[name],
                                     noun="parameter")
                   for name in self.params}

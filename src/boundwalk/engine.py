@@ -276,16 +276,16 @@ def _exact_offline(graph: EstimateGraph, task: CoverTask, cap: int,
 
 def run_episode(graph: EstimateGraph, source: WeightSource, explorer: Explorer,
                 *, oracle_cap: int = DEFAULT_EXACT_CAP,
-                certificate: Callable[[WeightAssignment, Sequence[int]], Walk]
-                | None = None,
+                certificate: Callable[[WeightAssignment], Walk] | None = None,
                 instance: dict | None = None,
                 offline_memo: dict | None = None) -> RunReport:
     """Run one episode to completion and attach the offline comparison.
 
     The offline optimum is computed exactly when the instance fits the
-    oracle cap.  Otherwise the best available feasible walk (the provided
-    certificate and the agent's own realized walk) bounds it from above and
-    the reported ratio is flagged as a lower bound on the true ratio.
+    oracle cap.  Otherwise the best available feasible walk (the walk
+    `certificate(realized assignment)` returns, once checked, and the
+    agent's own realized walk) bounds it from above and the reported ratio
+    is flagged as a lower bound on the true ratio.
 
     `offline_memo`, when given, maps realized weights (in edge-id order) to
     the exact offline cost on this same graph: a hit skips the solve, and
@@ -315,7 +315,7 @@ def run_episode(graph: EstimateGraph, source: WeightSource, explorer: Explorer,
     except SolverCapExceeded:
         candidates = [online]  # the agent's own walk is feasible offline
         if certificate is not None:
-            walk = certificate(assignment, view.visit_sequence)
+            walk = certificate(assignment)
             problems = walk_violations(graph, walk, assignment.weights)
             if problems:
                 raise EngineError(f"invalid certificate walk: {problems}")

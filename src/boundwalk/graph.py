@@ -77,6 +77,15 @@ def _read_field(data: Mapping, key: str, parse: Callable, default=None, *,
         raise ValueError(f"bad {noun} {key!r}: {exc}") from exc
 
 
+def _refuse_unknown(data: Mapping, known: Sequence[str], *,
+                    noun: str = "field") -> None:
+    """ValueError naming each key of `data` not in `known`, and `known`."""
+    if unknown := sorted(set(data) - set(known)):
+        raise ValueError(
+            f"unknown {noun}{'s' * (len(unknown) > 1)} "
+            f"{', '.join(map(repr, unknown))} (takes {', '.join(known)})")
+
+
 class EstimateGraph:
     """Simple undirected graph whose edge weights are announced as intervals.
 

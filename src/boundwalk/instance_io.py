@@ -18,7 +18,7 @@ from pathlib import Path
 from .adversaries import FAMILIES, Family, Instance, parse_fraction
 from .engine import FixedAssignment
 from .graph import (MAX_VERTICES, Edge, EstimateGraph, WeightAssignment,
-                    _read_field, parse_int, validate)
+                    _read_field, _refuse_unknown, parse_int, validate)
 
 
 def read_json(path: str | Path) -> dict:
@@ -55,10 +55,11 @@ def _list(value) -> list:
 
 def instance_from_dict(data: dict) -> tuple[EstimateGraph,
                                             WeightAssignment | None]:
-    """Graph and optional actual weights; ValueError names a missing or
-    malformed field (and its edge), an actual weight outside its edge's
-    interval, or a vertex count above MAX_VERTICES (checked before anything
-    is built)."""
+    """Graph and optional actual weights; ValueError names a missing,
+    malformed or unknown field (and its edge), an actual weight outside its
+    edge's interval, or a vertex count above MAX_VERTICES (checked before
+    anything is built)."""
+    _refuse_unknown(data, ("n", "s", "t", "edges"))
     n, start, end = (_read_field(data, key, parse_int)
                      for key in ("n", "s", "t"))
     if n > MAX_VERTICES:
@@ -70,6 +71,7 @@ def instance_from_dict(data: dict) -> tuple[EstimateGraph,
         try:  # every message names the edge
             if not isinstance(entry, dict):
                 raise ValueError(f"expected an object, got {entry!r}")
+            _refuse_unknown(entry, ("a", "b", "lower", "upper", "actual"))
             a, b = (_read_field(entry, key, parse_int) for key in ("a", "b"))
             lower, upper = (_read_field(entry, key, parse_fraction)
                             for key in ("lower", "upper"))

@@ -34,14 +34,14 @@ import io
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 from .adversaries import FAMILIES, PARAMETERS
 from .engine import run_episode
 from .explorers import EXPLORERS, make_explorer
-from .graph import _read_field, alpha_of, parse_int
+from .graph import _read_field, _refuse_unknown, alpha_of, parse_int
 from .solver import DEFAULT_EXACT_CAP, parse_cap
 
 # one worker process per job: a bound, not a default
@@ -65,11 +65,12 @@ class SweepConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "SweepConfig":
-        """The config a JSON object describes; ValueError names a missing or
-        malformed field."""
+        """The config a JSON object describes; ValueError names a missing,
+        malformed or unknown field."""
         if not isinstance(data, dict):
             raise ValueError(f"a sweep config is a JSON object, not "
                              f"{type(data).__name__}")
+        _refuse_unknown(data, [f.name for f in fields(SweepConfig)])
         family = _read_field(data, "family", _family_name)
         grid = _read_field(data, "grid", _grid_lists)
         config = SweepConfig(
@@ -78,7 +79,7 @@ class SweepConfig:
             explorers=_read_field(data, "explorers", _explorer_names,
                                   ["precompute", "adaptive", "nn"]),
             seeds=_read_field(data, "seeds", _int_tuple, [0]),
-            out=_read_field(data, "out", _text, "sweep_report"),
+            out=_read_field(data, "out", _report_path, "sweep_report"),
             jobs=_read_field(data, "jobs", parse_int, 1),
             solver_cap=_read_field(data, "solver_cap", parse_cap,
                                    DEFAULT_EXACT_CAP),
@@ -130,9 +131,12 @@ def _non_empty_list(value) -> None:
         raise ValueError(f"expected a non-empty list, got {value!r}")
 
 
-def _text(value) -> str:
+def _report_path(value) -> str:
+    # the reports are `<out>.csv` and `<out>.json`: `out` needs a file name
     if not isinstance(value, str):
         raise ValueError(f"expected a string, got {value!r}")
+    if not Path(value).name:
+        raise ValueError(f"{value!r} names no file")
     return value
 
 

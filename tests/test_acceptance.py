@@ -139,7 +139,7 @@ def test_criterion_5_recursive_family_bounds():
                 assert view.paid >= online_floor, (alpha, depth, name)
                 assignment = realized_assignment(bundle.graph, view,
                                                  bundle.source)
-                cert = bundle.certificate(assignment, view.visit_sequence)
+                cert = bundle.certificate(assignment)
                 assert walk_violations(bundle.graph, cert,
                                        assignment.weights) == []
                 assert cert.cost == cert_formula, (alpha, depth, name)
@@ -167,7 +167,7 @@ def test_criterion_6_grid_trap_self_checks():
             assert bundle.certificate.cost <= bundle.certificate_bound
             assert set(bundle.certificate.vertices) == set(
                 range(m * m))
-            if bundle.adaptive_verified:
+            if bundle.skip_reason is None:
                 # (a) the replanning explorer pays exactly (m*m-1)*alpha
                 assert bundle.expected_online == (m * m - 1) * alpha
                 _, opt = optimal_cover_walk(

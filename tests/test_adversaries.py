@@ -17,7 +17,7 @@ from boundwalk import (CompleteAdvSpec, GridSpec, InvalidSpec, RecursiveSpec,
 from boundwalk import adversaries
 from boundwalk.adversaries import FAMILIES, GridTrapError, complete_graph
 from boundwalk.engine import FixedAssignment
-from boundwalk.graph import MAX_VERTICES, Walk
+from boundwalk.graph import MAX_VERTICES, Distances, Walk, walk_of_vertices
 from boundwalk.instance_io import instance_to_dict
 
 
@@ -114,7 +114,7 @@ class TestRecursiveFamily:
         while not view.is_complete:
             view = move(view, ex.decide(view))
         assignment = realized_assignment(bundle.graph, view, bundle.source)
-        cert = bundle.certificate(assignment, view.visit_sequence)
+        cert = bundle.certificate(assignment)
         assert walk_violations(bundle.graph, cert, assignment.weights) == []
         assert cert.cost == formula
 
@@ -192,7 +192,7 @@ class TestGridTrap:
     def test_small_grid_full_self_check(self):
         for alpha in (F(5, 4), F(3, 2), F(7, 4), F(1)):
             bundle = build_grid_trap(GridSpec(4, alpha))
-            assert bundle.adaptive_verified
+            assert bundle.skip_reason is None
             assert bundle.expected_online == 15 * alpha
             assert bundle.certificate.cost <= bundle.certificate_bound
             assert validate(bundle.graph) == []
@@ -200,10 +200,49 @@ class TestGridTrap:
 
     def test_large_grid_certificate_checked_simulation_excluded(self):
         bundle = build_grid_trap(GridSpec(6, F(3, 2)))
-        assert not bundle.adaptive_verified
         assert "exact-solver cap" in bundle.skip_reason
         assert bundle.certificate.cost <= bundle.certificate_bound
         assert set(bundle.certificate.vertices) == set(range(36))
+
+    @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
+    def test_even_grid_tail_is_a_cheapest_path(self, m):
+        # the serpentine ends at (m-1, 0); its constructed tail to the end
+        # corner costs what a shortest path there costs, at alphas whose
+        # trap is effective up to m = 12 (README, Families)
+        for alpha in (F(1), F(21, 20), F(6, 5), F(5, 4), F(3, 2)):
+            bundle = build_grid_trap(GridSpec(m, alpha),
+                                     verify_adaptive=False)
+            graph, weights = bundle.graph, bundle.assignment.weights
+            serpentine = list(bundle.certificate.vertices[:m * m])
+            tail = Distances(graph, weights).path(serpentine[-1], graph.end)
+            cheapest = walk_of_vertices(graph, serpentine + tail[1:], weights)
+            tail_cost = (bundle.certificate.cost
+                         - walk_of_vertices(graph, serpentine, weights).cost)
+            assert bundle.certificate.cost == cheapest.cost, (m, alpha)
+            assert tail_cost == (m + 1) * alpha + m - 3, (m, alpha)
+
+    def test_refused_sizes_are_the_ones_readme_lists(self):
+        # every size the vertex limit allows, at README's nine alphas
+        def readme(m, alpha):
+            # (least even m, least m) refused at each alpha, None for none
+            even, every = {F(6, 5): (28, None), F(5, 4): (24, None),
+                           F(3, 2): (16, 24), F(7, 4): (12, 20),
+                           F(19, 10): (12, 18),
+                           F(199, 100): (12, 16)}.get(alpha, (None, None))
+            return ((even is not None and m % 2 == 0 and m >= even)
+                    or (every is not None and m >= every))
+
+        alphas = (F(1), F(21, 20), F(11, 10), F(6, 5), F(5, 4), F(3, 2),
+                  F(7, 4), F(19, 10), F(199, 100))
+        for alpha in alphas:
+            for m in range(4, 33):
+                try:
+                    build_grid_trap(GridSpec(m, alpha), verify_adaptive=False)
+                    refused = False
+                except GridTrapError as exc:
+                    assert "trap not effective" in str(exc)
+                    refused = True
+                assert refused == readme(m, alpha), (m, alpha)
 
     @pytest.mark.parametrize("fault, message", [
         ("costly", "certificate cost"),

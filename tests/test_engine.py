@@ -235,8 +235,7 @@ class TestRunEpisode:
         g, src = p3()
         with pytest.raises(EngineError, match=message):
             run_episode(g, src, make_explorer("nn"), oracle_cap=2,
-                        certificate=lambda assignment, visits:
-                        Walk(vertices, costs))
+                        certificate=lambda assignment: Walk(vertices, costs))
 
     def test_offline_memo_keys_on_realized_weights(self, monkeypatch):
         graph, first = random_instance(7, density=0.6, seed=11)

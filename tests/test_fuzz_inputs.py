@@ -3,11 +3,11 @@
 flag values (`generate`'s parameters and seed, `--solver-cap`, `--jobs`).
 
 Each example changes one field of a small valid input (or adds one that
-an adversary config's family does not take).  Whatever the value,
-the command must exit 0, 1 or 2 without a traceback, and an `error:` line
-must name the changed field (or, for a replaced document, just say what is
-wrong).  A malformed flag value must exit 1, whatever it is, and name its
-flag.  Sizes are small or far over the vertex limit
+the input does not take).  Whatever the value, the command must exit 0, 1
+or 2 without a traceback, and an `error:` line must name the changed field
+(or, for a replaced document, just say what is wrong); an added field is
+refused with exit 1.  A malformed flag value must exit 1, whatever it is,
+and name its flag.  Sizes are small or far over the vertex limit
 (refused before anything is built), `jobs` is 1 or invalid (no worker pool
 starts), and `solver_cap` is at most 10 or over MAX_EXACT_CAP, so every
 example stays cheap.
@@ -79,7 +79,12 @@ def check(argv, *fields):
     st.tuples(st.integers(0, 2),
               st.sampled_from(["a", "b", "lower", "upper", "actual"]),
               st.one_of(values, st.none())),
-    st.tuples(junk)),
+    st.tuples(junk),
+    # a key neither the top (None) nor an edge takes; a file with edges is
+    # read as an instance file, not as an adversary config
+    st.tuples(st.just("added"), st.one_of(st.none(), st.integers(0, 2)),
+              st.sampled_from(["actuall", "weight", "N", "family"]),
+              values)),
     command=st.sampled_from([["validate"], ["oracle"],
                              ["run", "--explorer", "nn"],
                              ["run", "--explorer", "adaptive"],
@@ -92,6 +97,10 @@ def test_malformed_instance_files(tmp_path_factory, doc, command):
         # a malformed edge list may be refused at one of its edges
         fields = (doc[0], "edge") if doc[0] == "edges" else (doc[0],)
         data[doc[0]] = doc[1]
+    elif doc[0] == "added":
+        _, eid, field, value = doc
+        (data if eid is None else data["edges"][eid])[field] = value
+        fields = (field,)
     else:
         eid, field, value = doc
         # a changed bound may leave the unchanged actual outside it
@@ -102,7 +111,9 @@ def test_malformed_instance_files(tmp_path_factory, doc, command):
             data["edges"][eid][field] = value
     path = tmp_path_factory.mktemp("instance") / "in.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    check([command[0], str(path), *command[1:]], *fields)
+    code, err = check([command[0], str(path), *command[1:]], *fields)
+    if doc[0] == "added":
+        assert code == 1 and f"unknown field {fields[0]!r}" in err, err
 
 
 @settings(max_examples=100, deadline=None)
@@ -144,8 +155,13 @@ def test_malformed_sweep_configs(tmp_path_factory, data):
     family = data.draw(st.sampled_from(FAMILY_NAMES))
     base = {**SWEEP, "family": family,
             "grid": {**GRIDS[family], "alpha": ["3/2"]}}
-    field = data.draw(st.sampled_from([*sweep_values, None]))
-    if field is None:  # the whole document replaced
+    # or a key the config does not take: "seeds" and "solver_cap" misspelled
+    field = data.draw(st.sampled_from([*sweep_values, None, "seed",
+                                       "solvercap"]))
+    added = field is not None and field not in sweep_values
+    if added:
+        config, fields = {**base, field: data.draw(values)}, (field,)
+    elif field is None:  # the whole document replaced
         config, fields = data.draw(junk), ()
     else:
         strategy = sweep_values[field]
@@ -163,6 +179,8 @@ def test_malformed_sweep_configs(tmp_path_factory, data):
     # a value its family refuses (an alpha at the wrong edge, say) is
     # refused at load, so no row fails here but by the solver cap (exit 2)
     assert code != 1 or "error:" in err, err
+    if added:
+        assert code == 1 and f"unknown field {field!r}" in err, err
 
 
 # flag values are text: junk as the command line would carry it, less the

@@ -246,9 +246,18 @@ class TestCli:
                     {"a": 1, "b": 2, "lower": "1", "upper": "2",
                      "actual": "1"}]},
          "edge 0: bad field 'actual'"),
+        # a misspelled or extra key is refused, not ignored
+        ({"edges": [{"a": 0, "b": 1, "lower": "1", "upper": "2",
+                     "actuall": "1"},
+                    {"a": 1, "b": 2, "lower": "1", "upper": "2",
+                     "actual": "1"}]},
+         "edge 0: unknown field 'actuall' (takes a, b, lower, upper, "
+         "actual)"),
+        ({"comment": "two edges"},
+         "unknown field 'comment' (takes n, s, t, edges)"),
     ], ids=["upper-1/0", "edges-not-a-list", "actual-above-upper",
             "actual-zero", "t-float", "n-bool", "b-float", "lower-bool",
-            "actual-bool"])
+            "actual-bool", "edge-key-typo", "extra-key"])
     def test_malformed_instance_fields_exit_1(self, fields, message,
                                               tmp_path, capsys):
         instance = {"n": 3, "s": 0, "t": 2, "edges": [
@@ -443,6 +452,39 @@ class TestCli:
         assert "'grid'" in err and "bad parameter 'k'" in err
         assert not (tmp_path / "rep.csv").exists()
         assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("field", [{"seed": [5, 6]}, {"solvercap": 3}])
+    def test_sweep_refuses_unknown_fields_at_load(self, field, tmp_path,
+                                                  capsys):
+        # a misspelled key would otherwise run at its default
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "complete", "grid": {"k": [3]},
+                                   "out": str(tmp_path / "rep"), **field}),
+                       encoding="utf-8")
+        assert main(["sweep", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: unknown field {next(iter(field))!r} (takes family, "
+            f"grid, explorers, seeds, out, jobs, solver_cap)\n")
+        assert not (tmp_path / "rep.csv").exists()
+        assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("config, flags, given", [
+        ({"out": ""}, [], ""), ({}, ["--out", ""], ""),
+        ({"out": "rep"}, ["--out", "/"], "/")])
+    def test_sweep_refuses_an_out_without_a_file_name_at_load(
+            self, config, flags, given, tmp_path, capsys, monkeypatch):
+        def no_rows(config):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_rows)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "complete", "grid": {"k": [3]},
+                                   **config}), encoding="utf-8")
+        assert main(["sweep", str(cfg), *flags]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad field 'out': {given!r} names no file\n")
 
     @pytest.mark.parametrize("family, grid", [
         ("grid", {"m": [4], "alpha": ["3/2", "2"]}),
