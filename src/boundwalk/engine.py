@@ -6,13 +6,14 @@ endpoints is visited (including the start vertex before the first decision).
 Every revealed weight must lie in its announced interval; violations raise
 AdversaryFault.  Episodes are strictly sequential and fully replayable.
 
-`start_episode` checks the whole view: the revealed edges are exactly those
-incident to visited vertices, each weight inside its interval.  `move`
-then checks only what its step changed: every edge incident to the new
-position is revealed, the reveal map grew by exactly the step's new events,
-and each of them is incident to the new position (their intervals are
-checked as they are revealed).  A view's `revealed` is a read-only mapping,
-so by induction every view of an episode passes the full check as well.
+One arrival rule checks the start and every move alike: every edge
+incident to the new position is revealed, and the reveal map grew by
+exactly the arrival's events, distinct edges each incident to the new
+position.  The start's map grows from empty, so it holds exactly the
+start's incident edges.  Each weight's interval is checked once, as it is
+revealed, before it enters the view's read-only `revealed` mapping, which
+later arrivals only add to; so by induction every view of an episode
+reveals exactly the edges incident to its visited vertices.
 """
 from __future__ import annotations
 
@@ -137,26 +138,16 @@ def _reveal_incident(graph: EstimateGraph, source: WeightSource,
     return events
 
 
-def _check_view(view: KnowledgeView) -> None:
+def _check_arrival(view: KnowledgeView, before: int,
+                   events: list[Reveal]) -> None:
     graph = view.graph
-    expected = {eid for v in view.visited for eid in graph.incident_edges(v)}
-    if set(view.revealed) != expected:
-        raise EngineError("reveal set does not match edges incident to "
-                          "visited vertices")
-    for eid, w in view.revealed.items():
-        if not _within(w, graph.edges[eid]):
-            raise AdversaryFault(f"revealed weight {w} outside interval "
-                                 f"of edge {eid}")
-
-
-def _check_step(old: KnowledgeView, new: KnowledgeView,
-                events: list[Reveal]) -> None:
-    graph = new.graph
-    to = new.position
-    if not all(eid in new.revealed for _, eid in graph.neighbors(to)):
+    to = view.position
+    if not all(eid in view.revealed for _, eid in graph.neighbors(to)):
         raise EngineError(f"an edge incident to vertex {to} is unrevealed")
-    if len(new.revealed) != len(old.revealed) + len(events):
-        raise EngineError("reveal set grew by other than the step's events")
+    if (len(view.revealed) != before + len(events)
+            or len({e.edge for e in events}) != len(events)):
+        raise EngineError("reveal set grew by other than the arrival's "
+                          "events")
     for event in events:
         e = graph.edges[event.edge]
         if to not in (e.a, e.b):
@@ -174,7 +165,7 @@ def start_episode(graph: EstimateGraph, source: WeightSource) -> KnowledgeView:
                          revealed=MappingProxyType(revealed),
                          paid=Fraction(0), history=(), reveals=tuple(events),
                          _source=source)
-    _check_view(view)
+    _check_arrival(view, 0, events)
     return view
 
 
@@ -196,7 +187,7 @@ def move(view: KnowledgeView, to: int) -> KnowledgeView:
                         history=view.history + (Move(view.position, to, eid, w),),
                         reveals=view.reveals + tuple(events),
                         _source=view._source)
-    _check_step(view, new, events)
+    _check_arrival(new, len(view.revealed), events)
     return new
 
 

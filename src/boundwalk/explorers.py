@@ -90,8 +90,8 @@ class AdaptiveExplorer:
 
     def decide(self, view: KnowledgeView) -> int:
         distances = self._distances.of(view)
-        vertices, total = worst_case_plan(view, view.graph.end, distances,
-                                          self._table, cap=self._cap)
+        vertices, total = worst_case_plan(view, distances, self._table,
+                                          cap=self._cap)
         self.plan_costs.append(Fraction(total, distances.denom))
         return vertices[1]
 

@@ -242,9 +242,9 @@ def write_reports(rows: Sequence[dict], out: str | Path,
     out.parent.mkdir(parents=True, exist_ok=True)
     csv_path = json_path = None
     if formats in ("csv", "both"):
-        csv_path = out.with_suffix(".csv")
+        csv_path = out.with_name(out.name + ".csv")
         csv_path.write_text(rows_to_csv(rows), encoding="utf-8")
     if formats in ("json", "both"):
-        json_path = out.with_suffix(".json")
+        json_path = out.with_name(out.name + ".json")
         json_path.write_text(rows_to_json(rows), encoding="utf-8")
     return csv_path, json_path

@@ -36,10 +36,11 @@ Held-Karp reconstruction invariant), which a stale or corrupted one breaks.
 
 `worst_case_plan` reads its table through a `SuffixTable`, which keeps
 the last one built.  A table depends only on the integer closure among
-its interior and destination (a rescale changes every entry), so after a
-move it still serves the remaining vertices, under its old bit numbering,
-until a reveal changes an integer distance among them or the destination
-changes: an episode builds a table only when that happens.
+its interior and destination (a rescale changes every entry), and the
+worst-case planners' destination is always the graph's end, so after a
+move a table still serves the remaining vertices, under its old bit
+numbering, until a reveal changes an integer distance among them: an
+episode builds a table only when that happens.
 
 The numpy table is layered by popcount and stores set cells only: layer
 p is an (m, C(m - 1, p - 1)) array whose row i holds the cells (S, i) of
@@ -536,29 +537,30 @@ def pessimistic_weights(graph: EstimateGraph,
             for eid, e in enumerate(graph.edges)}
 
 
-def worst_case_cover_walk(graph: EstimateGraph, view: "KnowledgeView",
-                          destination: int, *,
+def worst_case_cover_walk(view: "KnowledgeView", *,
                           cap: int = DEFAULT_EXACT_CAP
                           ) -> tuple[Walk, Fraction]:
-    """Cheapest walk finishing the exploration under worst-case pricing."""
+    """Cheapest walk from the view's position through every unvisited
+    vertex to the graph's end, under worst-case pricing."""
+    graph = view.graph
     weights = pessimistic_weights(graph, view.revealed)
     task = CoverTask(weights=weights, origin=view.position,
-                     destination=destination, must_visit=view.unvisited)
+                     destination=graph.end, must_visit=view.unvisited)
     return optimal_cover_walk(graph, task, cap=cap)
 
 
-def worst_case_plan(view: "KnowledgeView", destination: int,
-                    distances: Distances, table: SuffixTable, *,
+def worst_case_plan(view: "KnowledgeView", distances: Distances,
+                    table: SuffixTable, *,
                     cap: int = DEFAULT_EXACT_CAP) -> tuple[list[int], int]:
     """`worst_case_cover_walk` in integers: the walk's vertices and
     `distances.denom` times its cost.  `distances` must hold the view's
     pessimistic weights; `table` keeps a suffix table between calls."""
     # the task `worst_case_cover_walk` solves, its weights held by `distances`
     task = CoverTask(weights={}, origin=view.position,
-                     destination=destination, must_visit=view.unvisited)
+                     destination=view.graph.end, must_visit=view.unvisited)
     required = _required(task, cap, "exact oracle")
-    vertices, total = _integer_walk(distances, required, view.position,
-                                    destination, table.order)
+    vertices, total = _integer_walk(distances, required, task.origin,
+                                    task.destination, table.order)
     # the integer counterpart of the oracles' `walk.cost == cost`
     assert distances.length(vertices) == total
     return vertices, total

@@ -255,9 +255,14 @@ class TestCli:
          "actual)"),
         ({"comment": "two edges"},
          "unknown field 'comment' (takes n, s, t, edges)"),
+        # an edge is an object, not a list of its fields
+        ({"edges": [[0, 1, "1", "2", "1"],
+                    {"a": 1, "b": 2, "lower": "1", "upper": "2",
+                     "actual": "1"}]},
+         "edge 0: expected an object, got [0, 1, '1', '2', '1']"),
     ], ids=["upper-1/0", "edges-not-a-list", "actual-above-upper",
             "actual-zero", "t-float", "n-bool", "b-float", "lower-bool",
-            "actual-bool", "edge-key-typo", "extra-key"])
+            "actual-bool", "edge-key-typo", "extra-key", "edge-not-object"])
     def test_malformed_instance_fields_exit_1(self, fields, message,
                                               tmp_path, capsys):
         instance = {"n": 3, "s": 0, "t": 2, "edges": [
@@ -270,6 +275,16 @@ class TestCli:
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err
+
+    def test_single_vertex_instance_fails_validate(self, tmp_path, capsys):
+        # one vertex is no graph: validate names n, and the s = t it forces
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"n": 1, "s": 0, "t": 0, "edges": []}),
+                       encoding="utf-8")
+        assert main(["validate", str(one)]) == 1
+        assert capsys.readouterr().out == (
+            "n = 1: a graph needs at least two vertices\n"
+            "s and t must be distinct, both are 0\n")
 
     def test_vertex_limit_refused_before_building(self, tmp_path, capsys):
         # a billion vertices would be a billion adjacency lists and, per

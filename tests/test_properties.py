@@ -168,7 +168,7 @@ def replay_against_oracles(graph, seed, denominators):
     view = start_episode(graph, FixedAssignment(WeightAssignment(actual)))
     while not view.is_complete:
         hop = explorer.decide(view)
-        walk, cost = worst_case_cover_walk(graph, view, graph.end)
+        walk, cost = worst_case_cover_walk(view)
         assert (hop, explorer.plan_costs[-1]) == (walk.vertices[1], cost)
         if len(view.unvisited | {view.position, graph.end}) <= 9:
             task = CoverTask(pessimistic_weights(graph, view.revealed),

@@ -98,6 +98,18 @@ class TestSweep:
         csv_path, json_path = write_reports(rows_a, tmp_path / "rep")
         assert csv_path.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
 
+    def test_report_names_keep_a_dot_in_out(self, tmp_path):
+        # the suffix is appended: two outs that differ only after a dot
+        # write four files, none over another
+        rows = run_sweep(sweep_config(grid={"k": [3], "alpha": ["2"]},
+                                      explorers=["nn"]))
+        paths = [p for out in ("sweep.v1", "sweep.v2")
+                 for p in write_reports(rows, tmp_path / out)]
+        assert [p.name for p in paths] == [
+            "sweep.v1.csv", "sweep.v1.json", "sweep.v2.csv", "sweep.v2.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            p.name for p in paths]
+
     def test_concurrent_execution_matches_sequential(self):
         config = sweep_config(grid={"k": [3, 4], "alpha": ["2"]},
                               explorers=["adaptive", "nn"])

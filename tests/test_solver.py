@@ -510,7 +510,7 @@ def test_worst_case_planner_prices_unrevealed_at_upper():
         else:
             assert weights[eid] == F(2)  # announced upper bound
 
-    walk, cost = worst_case_cover_walk(g, view, g.end)
+    walk, cost = worst_case_cover_walk(view)
     # enumerate the six interior orders by hand: start edge 1, rest 2
     assert cost == F(1) + F(2) + F(2)
     # at spread exactly 2 the 1+1 detour through the start ties the direct
@@ -519,7 +519,7 @@ def test_worst_case_planner_prices_unrevealed_at_upper():
     source2 = FixedAssignment(WeightAssignment(
         {eid: F(1) for eid in range(len(g2.edges))}))
     view2 = start_episode(g2, source2)
-    walk2, cost2 = worst_case_cover_walk(g2, view2, g2.end)
+    walk2, cost2 = worst_case_cover_walk(view2)
     assert walk2.vertices == (0, 1, 2, 3)
     assert cost2 == F(1) + F(7, 4) + F(7, 4)
 
@@ -533,7 +533,7 @@ def test_worst_case_equals_exact_once_all_revealed():
         view = move(view, v)
     view = move(view, 4)  # all vertices visited: everything revealed
     assert len(view.revealed) == len(g.edges)
-    _, pess = worst_case_cover_walk(g, view, g.end)
+    _, pess = worst_case_cover_walk(view)
     task = CoverTask(weights=actual, origin=view.position,
                      destination=g.end, must_visit=frozenset())
     _, exact = optimal_cover_walk(g, task)
