@@ -5,7 +5,9 @@ and `PARAMETERS` describe each family and each of its parameters once, for
 the command line, config stubs, sweeps and the builders alike.
 
 Adaptive sources here are stateless functions of the agent's visit history,
-so they are deterministic and replayable by construction.
+so they are deterministic and replayable by construction.  Both are endpoint
+adversaries: every weight they reveal or complete is an end of its edge's
+announced interval.
 """
 from __future__ import annotations
 
@@ -66,11 +68,10 @@ class RecursiveSpec:
 
 @dataclass
 class _Component:
-    level: int
     s: int
     t: int
-    children: list["_Component"]
-    path: list[int]  # depth-0 only
+    children: list["_Component"]  # empty for a leaf, a unit path
+    path: list[int]  # leaves only
 
     @property
     def anchors(self) -> tuple[int, int]:
@@ -82,62 +83,44 @@ class _Component:
 
 def _build_component(level: int, k: int, alpha: Fraction, next_id: int,
                      edges: list[Edge],
-                     levels: list[int]) -> tuple[_Component, int]:
+                     pair_of: dict[int, tuple[int, int]]) -> _Component:
+    """The level-`level` component on ids from `next_id` up, its edges
+    appended to `edges` and its anchor pair recorded for both anchors."""
     if level == 0:
         verts = list(range(next_id, next_id + k + 1))
-        for a, b in zip(verts, verts[1:]):
-            edges.append(Edge(a, b, Fraction(1), Fraction(1)))
-            levels.append(0)
-        return _Component(0, verts[0], verts[-1], [], verts), next_id + k + 1
-
-    s = next_id
-    next_id += 1
-    children = []
-    for _ in range(k):
-        child, next_id = _build_component(level - 1, k, alpha, next_id,
-                                          edges, levels)
-        children.append(child)
-    t = next_id
-    next_id += 1
-    base = Fraction(k) ** level
-    lo, hi = base, alpha * base
-
-    def level_edge(a: int, b: int) -> None:
-        edges.append(Edge(a, b, lo, hi))
-        levels.append(level)
-
-    level_edge(s, children[0].s)
-    level_edge(s, children[0].t)
-    for left, right in zip(children, children[1:]):
-        level_edge(left.s, right.s)
-        level_edge(left.s, right.t)
-        level_edge(left.t, right.s)
-        level_edge(left.t, right.t)
-    level_edge(children[-1].s, t)
-    level_edge(children[-1].t, t)
-    return _Component(level, s, t, children, []), next_id
-
-
-def _collect_pairs(root: _Component, pair_of: dict[int, tuple[int, int]]):
-    pair_of[root.s] = root.anchors
-    pair_of[root.t] = root.anchors
-    for child in root.children:
-        _collect_pairs(child, pair_of)
+        edges.extend(Edge(a, b, Fraction(1), Fraction(1))
+                     for a, b in zip(verts, verts[1:]))
+        comp = _Component(verts[0], verts[-1], [], verts)
+    else:
+        last, children = next_id, []  # the last id taken
+        for _ in range(k):
+            children.append(_build_component(level - 1, k, alpha, last + 1,
+                                             edges, pair_of))
+            last = children[-1].t
+        comp = _Component(next_id, last + 1, children, [])
+        pairs = [(comp.s, b) for b in children[0].anchors]
+        for left, right in zip(children, children[1:]):
+            pairs += [(a, b) for a in left.anchors for b in right.anchors]
+        pairs += [(a, comp.t) for a in children[-1].anchors]
+        lo = Fraction(k) ** level
+        edges.extend(Edge(a, b, lo, alpha * lo) for a, b in pairs)
+    pair_of[comp.s] = pair_of[comp.t] = comp.anchors
+    return comp
 
 
 class RecursiveAdversary:
-    """Symmetric reactive weight source for the recursive family.
+    """Symmetric reactive weight source for the recursive family, an
+    endpoint adversary: every weight it reveals or completes is an end of
+    its edge's announced interval.
 
     Within each component, the first distinguished vertex the agent reaches
     is committed as the start side; level edges triggered from a start side
-    reveal cheap (k^level), from an end side expensive (alpha * k^level).
+    reveal their lower end (k^level), from an end side their upper end
+    (alpha * k^level).  The unit paths' point intervals [1, 1] give 1.
     """
 
-    def __init__(self, k: int, alpha: Fraction, levels: Sequence[int],
-                 edges: Sequence[Edge], pair_of: dict[int, tuple[int, int]]):
-        self._k = k
-        self._alpha = alpha
-        self._levels = levels
+    def __init__(self, edges: Sequence[Edge],
+                 pair_of: dict[int, tuple[int, int]]):
         self._edges = edges
         self._pair_of = pair_of
 
@@ -150,25 +133,23 @@ class RecursiveAdversary:
                 return v, i
         return min(pair), None
 
-    def _weight(self, eid: int, governor: int,
-                visit_seq: Sequence[int]) -> Fraction:
-        level = self._levels[eid]
-        base = Fraction(self._k) ** level
+    def _end(self, e: Edge, governor: int,
+             visit_seq: Sequence[int]) -> Fraction:
         start, _ = self._start_side(self._pair_of[governor], visit_seq)
-        return base if governor == start else self._alpha * base
+        return e.lower if governor == start else e.upper
 
     def reveal(self, eid: int, visit_seq: Sequence[int]) -> Fraction:
-        if self._levels[eid] == 0:
-            return Fraction(1)
-        trigger = visit_seq[-1]
         e = self._edges[eid]
+        if e.lower == e.upper:
+            return e.lower
+        trigger = visit_seq[-1]
         assert trigger in (e.a, e.b)
-        return self._weight(eid, trigger, visit_seq)
+        return self._end(e, trigger, visit_seq)
 
     def complete(self, eid: int, visit_seq: Sequence[int]) -> Fraction:
-        if self._levels[eid] == 0:
-            return Fraction(1)
         e = self._edges[eid]
+        if e.lower == e.upper:
+            return e.lower
         # mimic the reveal trigger: the endpoint whose pair committed first
         _, ia = self._start_side(self._pair_of[e.a], visit_seq)
         _, ib = self._start_side(self._pair_of[e.b], visit_seq)
@@ -178,7 +159,7 @@ class RecursiveAdversary:
             governor = e.a
         else:
             governor = e.b
-        return self._weight(eid, governor, visit_seq)
+        return self._end(e, governor, visit_seq)
 
 
 def recursive_online_lower_bound(spec: RecursiveSpec) -> Fraction:
@@ -195,7 +176,6 @@ def recursive_certificate_cost(spec: RecursiveSpec) -> Fraction:
 class RecursiveBundle:
     graph: EstimateGraph
     source: RecursiveAdversary
-    spec: RecursiveSpec
     root: _Component = field(repr=False)
 
     def certificate(self, assignment: WeightAssignment) -> Walk:
@@ -216,7 +196,7 @@ class RecursiveBundle:
             key = (id(comp), entry)
             if key in memo:
                 return memo[key]
-            if comp.level == 0:
+            if not comp.children:
                 path = comp.path if entry == comp.s else comp.path[::-1]
                 out = (list(path), Fraction(len(path) - 1))
             else:
@@ -252,17 +232,14 @@ class RecursiveBundle:
 def build_recursive(spec: RecursiveSpec) -> RecursiveBundle:
     spec = spec.validated()
     edges: list[Edge] = []
-    levels: list[int] = []
     pair_of: dict[int, tuple[int, int]] = {}
-    root, n = _build_component(spec.depth, spec.k, spec.alpha, 0,
-                               edges, levels)
-    _collect_pairs(root, pair_of)
-    graph = EstimateGraph(n, edges, root.s, root.t)
+    root = _build_component(spec.depth, spec.k, spec.alpha, 0, edges, pair_of)
+    graph = EstimateGraph(root.t + 1, edges, root.s, root.t)
     problems = validate(graph)
     assert not problems, problems
-    source = RecursiveAdversary(spec.k, spec.alpha, levels, graph.edges,
-                                pair_of)
-    return RecursiveBundle(graph=graph, source=source, spec=spec, root=root)
+    return RecursiveBundle(graph=graph,
+                           source=RecursiveAdversary(graph.edges, pair_of),
+                           root=root)
 
 
 def recursive_vertex_count(k: int, depth: int) -> int:

@@ -170,18 +170,21 @@ class Walk:
 def validate(graph: EstimateGraph) -> list[str]:
     """Every violated invariant, naming its instance field; empty iff valid."""
     violations: list[str] = []
+    in_range = True  # connectivity is only asked of in-range ids
     n = graph.vertex_count
     if n < 2:
         violations.append(f"n = {n}: a graph needs at least two vertices")
     for v, name in ((graph.start, "s"), (graph.end, "t")):
         if not 0 <= v < n:
             violations.append(f"{name} = {v} out of range for n = {n}")
+            in_range = False
     if graph.start == graph.end:
         violations.append(f"s and t must be distinct, both are {graph.start}")
     seen: set[tuple[int, int]] = set()
     for eid, e in enumerate(graph.edges):
         if not (0 <= e.a < n and 0 <= e.b < n):
             violations.append(f"edge {eid}: a, b = {e.a}, {e.b} out of range")
+            in_range = False
             continue
         if e.a == e.b:
             violations.append(f"edge {eid}: a self-loop, a = b = {e.a}")
@@ -193,9 +196,8 @@ def validate(graph: EstimateGraph) -> list[str]:
             violations.append(f"edge {eid}: nonpositive lower = {e.lower}")
         if e.lower > e.upper:
             violations.append(f"edge {eid}: interval inverted, lower > upper")
-    if not violations or all("out of range" not in v for v in violations):
-        if n >= 1 and not _connected(graph):
-            violations.append(f"edges leave n = {n} vertices disconnected")
+    if in_range and not _connected(graph):  # n < 1 leaves s out of range
+        violations.append(f"edges leave n = {n} vertices disconnected")
     return violations
 
 

@@ -85,7 +85,7 @@ def instance_from_dict(data: dict) -> tuple[EstimateGraph,
         except ValueError as exc:
             raise ValueError(f"edge {eid}: {exc}") from exc
     graph = EstimateGraph(n, edges, start, end)
-    complete = edges and len(actuals) == len(edges)
+    complete = len(actuals) == len(edges)  # an edgeless graph lacks none
     return graph, WeightAssignment(actuals) if complete else None
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -186,6 +187,43 @@ class TestBipartiteAdversary:
         src = FixedAssignment(random_uniform_assignment(g, 0))
         rep = run_episode(g, src, make_explorer("adaptive"))
         assert rep.ratio == F(1)
+
+
+class TestEndpointAdversaries:
+    """The adaptive adversaries are endpoint adversaries: each weight they
+    reveal or complete is its edge's `lower` or `upper`, and a point
+    interval's one value."""
+
+    @pytest.mark.parametrize("build,spec", [
+        (build_recursive, RecursiveSpec(2, 1, F(3, 2))),
+        (build_recursive, RecursiveSpec(3, 1, F(2))),
+        (build_recursive, RecursiveSpec(2, 2, F(3))),
+        (build_complete_adversary, CompleteAdvSpec(3, F(3, 2))),
+        (build_bipartite_adversary, CompleteAdvSpec(3, F(2)))],
+        ids=["recursive-1", "recursive-1-k3", "recursive-2", "complete",
+             "bipartite"])
+    def test_every_weight_is_an_interval_end(self, build, spec):
+        built = build(spec)
+        graph, source = built.graph, built.source
+        rng = random.Random(0)
+        seen = set()  # which ends were given, over every call
+        for _ in range(40):
+            # a random walk from s: the visit prefix of some explorer
+            walk = [graph.start]
+            for _ in range(rng.randrange(2 * graph.vertex_count)):
+                walk.append(rng.choice(graph.neighbors(walk[-1]))[0])
+            calls = [(source.reveal, eid)
+                     for _, eid in graph.neighbors(walk[-1])]
+            calls += [(source.complete, eid)
+                      for eid in range(len(graph.edges))]
+            for call, eid in calls:
+                e = graph.edges[eid]
+                w = call(eid, walk)
+                assert w in (e.lower, e.upper), (call.__name__, eid, walk)
+                seen.add("point" if e.lower == e.upper
+                         else "lower" if w == e.lower else "upper")
+        point = any(e.lower == e.upper for e in graph.edges)
+        assert seen == {"lower", "upper"} | ({"point"} if point else set())
 
 
 class TestGridTrap:

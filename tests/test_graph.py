@@ -39,6 +39,15 @@ class TestValidate:
                               Edge(2, 3, F(1), F(1))], 0, 3)
         assert any("disconnected" in v for v in validate(g))
 
+    @pytest.mark.parametrize("edge,start,fault", [
+        ((0, 1), 5, "s = 5 out of range for n = 3"),
+        ((0, 7), 0, "edge 0: a, b = 0, 7 out of range")])
+    def test_out_of_range_ids_skip_connectivity(self, edge, start, fault):
+        # vertex 2 has no edge, but connectivity is only asked of in-range
+        # ids, so the out-of-range one is the only fault named
+        g = EstimateGraph(3, [Edge(*edge, F(1), F(1))], start, 1)
+        assert validate(g) == [fault]
+
     def test_self_loop_and_duplicate(self):
         g = EstimateGraph(3, [Edge(0, 0, F(1), F(1)),
                               Edge(1, 2, F(1), F(1)),

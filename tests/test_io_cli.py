@@ -276,15 +276,31 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err
 
+    @staticmethod
+    def _edgeless_faults(tmp_path, capsys, instance, faults):
+        # validate prints each fault; having no edges, the file lacks no
+        # actual weight, so oracle and run refuse it with the same faults
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps(instance), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == "".join(f"{f}\n" for f in faults)
+        for argv in (["oracle", str(path)],
+                     ["run", str(path), "--explorer", "nn"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: invalid instance: {'; '.join(faults)}\n")
+
     def test_single_vertex_instance_fails_validate(self, tmp_path, capsys):
         # one vertex is no graph: validate names n, and the s = t it forces
-        one = tmp_path / "one.json"
-        one.write_text(json.dumps({"n": 1, "s": 0, "t": 0, "edges": []}),
-                       encoding="utf-8")
-        assert main(["validate", str(one)]) == 1
-        assert capsys.readouterr().out == (
-            "n = 1: a graph needs at least two vertices\n"
-            "s and t must be distinct, both are 0\n")
+        self._edgeless_faults(
+            tmp_path, capsys, {"n": 1, "s": 0, "t": 0, "edges": []},
+            ["n = 1: a graph needs at least two vertices",
+             "s and t must be distinct, both are 0"])
+
+    def test_edgeless_instance_fails_validate(self, tmp_path, capsys):
+        self._edgeless_faults(
+            tmp_path, capsys, {"n": 3, "s": 0, "t": 2, "edges": []},
+            ["edges leave n = 3 vertices disconnected"])
 
     def test_vertex_limit_refused_before_building(self, tmp_path, capsys):
         # a billion vertices would be a billion adjacency lists and, per

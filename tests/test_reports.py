@@ -465,6 +465,18 @@ class TestGoldenBytes:
          "d6ddf7ec91d696fc7650fd648444a52031c54a9d11df1b86626a6bc827e3fe97"),
         ("random", {"n": 40, "alpha": "2"}, "nn",
          "0aed07fc9ce20e699cfd95687395cb11664a374a3e360ea60ca30ebdb3891ed8"),
+        # the recursive adversary's reveals and, for nn at k = 3 (44
+        # vertices, beyond the exact cap), its certificate walk
+        ("recursive", {"k": 2, "depth": 1, "alpha": "3/2"}, "precompute",
+         "766543f74f5e8b1eaf28d47a25197cf4dda1e6b79fe73eea7601525db0490180"),
+        ("recursive", {"k": 2, "depth": 1, "alpha": "3/2"}, "adaptive",
+         "0f8ece048401592839efc018ff502d3da3305163128cd52de98a06ad6259b1d3"),
+        ("recursive", {"k": 2, "depth": 1, "alpha": "3/2"}, "nn",
+         "4cb4698d975373c5648a46e81da3144cec4ae038fd1633a0ae9cb52ef164f6e6"),
+        ("recursive", {"k": 2, "depth": 2, "alpha": "3"}, "adaptive",
+         "55cb0c624450ab4687af5df465c760fc227ccc4a72f297e5d99abed3e9367fe7"),
+        ("recursive", {"k": 3, "depth": 2, "alpha": "2"}, "nn",
+         "ee1e0163d08479d11dd6b415fc60dcae09df9a4322a0441e089f30634dfc21a6"),
     ])
     def test_tie_heavy_run_report_bytes(self, family, raw, explorer, digest):
         spec = FAMILIES[family]
