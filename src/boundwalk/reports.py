@@ -24,6 +24,17 @@ is immutable and every weight source is a pure function of the visit
 sequence.  Costs beyond the solver cap are not shared, since they depend
 on each row's own walk.
 
+A process keeps one worker pool.  It starts at the first sweep with
+jobs > 1 (importing, loading a config or a jobs = 1 sweep starts none), and
+every later sweep with the same `jobs` reuses it; a sweep with another
+`jobs` shuts it down, waiting for its workers, before it starts its own.
+Workers see the package as it was when the pool started, and keep only
+pure caches from one sweep to the next (`solver._cached_plan`, numpy's
+first-call set-up), so rows do not depend on which sweeps ran before.  A
+kept pool found broken (a worker died between sweeps) is dropped and the
+sweep runs again on a fresh one; a fresh pool that breaks raises.  The
+interpreter's exit joins the workers of the pool still kept.
+
 CSV and JSON emissions carry identical string-valued rows; rows are sorted
 before emission so identical configs produce identical bytes.
 """
@@ -34,6 +45,7 @@ import io
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -199,6 +211,30 @@ def _error_kind(exc: Exception) -> str:
     return f"error:{type(exc).__name__}: {exc}"
 
 
+# the pool of the last sweep with jobs > 1, as (jobs, pool), kept for the
+# next one (see the module docstring)
+_kept: tuple[int, ProcessPoolExecutor] | None = None
+
+
+def _worker_pool(jobs: int) -> tuple[ProcessPoolExecutor, bool]:
+    """A pool of `jobs` workers, and whether it was kept from an earlier
+    sweep.  A kept pool of another size is shut down before a new one
+    starts, so at most one pool exists."""
+    global _kept
+    if _kept is not None and _kept[0] == jobs:
+        return _kept[1], True
+    _drop_pool()
+    _kept = jobs, ProcessPoolExecutor(max_workers=jobs)
+    return _kept[1], False
+
+
+def _drop_pool() -> None:
+    global _kept
+    if _kept is not None:
+        _kept[1].shutdown(wait=True)
+        _kept = None
+
+
 def run_sweep(config: SweepConfig) -> list[dict]:
     """One row per (grid point x explorer x seed), sorted for determinism;
     one task, run in a worker process when jobs > 1, per (grid point x
@@ -211,7 +247,15 @@ def run_sweep(config: SweepConfig) -> list[dict]:
     work = [(config, params, seed, config.explorers[i::groups])
             for params, seed in points for i in range(groups)]
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        pool, kept = _worker_pool(config.jobs)
+        try:
+            tasks = list(pool.map(_run_task, work))
+        except BrokenProcessPool:
+            _drop_pool()
+            if not kept:
+                raise
+            # tasks are pure: a fresh pool returns the same rows
+            pool, _ = _worker_pool(config.jobs)
             tasks = list(pool.map(_run_task, work))
     else:
         tasks = [_run_task(w) for w in work]

@@ -1,7 +1,15 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
+import multiprocessing.connection
+import os
+import signal
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -352,17 +360,13 @@ class TestSweepTasks:
             def __init__(self, max_workers):
                 assert max_workers == jobs
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, args):
                 work.extend(args)
                 return map(fn, work)
 
-        monkeypatch.setattr(reports, "ProcessPoolExecutor", InProcessPool)
+        # the fake stands in for the kept pool without taking its place
+        monkeypatch.setattr(reports, "_worker_pool",
+                            lambda jobs: (InProcessPool(jobs), False))
         config = sweep_config(family="complete",
                               grid={"k": [3], "alpha": points},
                               explorers=ALL3, jobs=jobs)
@@ -393,6 +397,98 @@ class TestSweepTasks:
         assert {r["m"] for r in failed} == {"12"} and len(failed) == 3
         assert all(r["offline_kind"].startswith("error:GridTrapError: ")
                    and r["n"] == "" for r in failed)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SMALL = [dict(family="complete", grid={"k": [3, 4], "alpha": ["2"]},
+              explorers=ALL3),
+         dict(family="grid", grid={"m": [4], "alpha": ["3/2"]},
+              explorers=ALL3)]
+
+
+def worker_pids():
+    """The pids of this process's live worker processes: those of the kept
+    pool, since nothing else here starts one."""
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def sweep_bytes(config, jobs):
+    return rows_to_csv(run_sweep(sweep_config(**config, jobs=jobs)))
+
+
+def run_python(code, *args):
+    """`code` run by a fresh interpreter that imports this checkout; its
+    last stdout line, read as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestWorkerPool:
+    """One worker pool per process, kept from one jobs > 1 sweep to the
+    next; rows never depend on which sweeps ran before."""
+
+    def test_consecutive_sweeps_share_their_workers(self, monkeypatch):
+        pids = []
+        for config in SMALL:
+            assert sweep_bytes(config, 2) == sweep_bytes(config, 1)
+            pids.append(worker_pids())
+        assert len(pids[0]) == 2 and pids[1] == pids[0]
+        # another size replaces the pool: the old workers have exited
+        # before the new pool starts
+        old = multiprocessing.active_children()
+        exited = []
+
+        def starting(max_workers):
+            exited.append(all(p.exitcode is not None for p in old))
+            return ProcessPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr(reports, "ProcessPoolExecutor", starting)
+        assert sweep_bytes(SMALL[0], 3) == sweep_bytes(SMALL[0], 1)
+        assert exited == [True]
+        assert len(worker_pids()) == 3 and not worker_pids() & pids[0]
+
+    def test_a_broken_kept_pool_is_replaced(self):
+        expected = sweep_bytes(SMALL[0], 1)
+        assert sweep_bytes(SMALL[0], 2) == expected
+        old = multiprocessing.active_children()
+        assert len(old) == 2
+        os.kill(old[0].pid, signal.SIGKILL)  # a worker of this process
+        assert multiprocessing.connection.wait([old[0].sentinel], timeout=60)
+        assert sweep_bytes(SMALL[0], 2) == expected
+        assert len(worker_pids()) == 2
+        assert not worker_pids() & {p.pid for p in old}
+
+    def test_nothing_starts_before_a_pooled_sweep(self):
+        # importing and loading a jobs = 2 config start no process and no
+        # thread, so the benchmark's set-up time cannot include a pool
+        assert run_python(
+            "import json, multiprocessing, threading\n"
+            "import boundwalk.cli\n"
+            "from boundwalk.reports import SweepConfig\n"
+            "SweepConfig.from_dict({'family': 'complete', 'grid': {'k': [3], "
+            "'alpha': ['2']}, 'out': 'unused', 'jobs': 2})\n"
+            "print(json.dumps([len(multiprocessing.active_children()), "
+            "threading.active_count()]))\n") == [0, 1]
+
+    def test_no_worker_outlives_its_interpreter(self, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(SMALL[0]), encoding="utf-8")
+        code, pids = run_python(
+            "import json, multiprocessing, sys\n"
+            "from boundwalk import cli\n"
+            "code = cli.main(['sweep', sys.argv[1], '--jobs', '2', "
+            "'--out', sys.argv[2]])\n"
+            "print(json.dumps([code, [p.pid for p in "
+            "multiprocessing.active_children()]]))\n",
+            cfg, tmp_path / "rep")
+        assert code == 0 and len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 @pytest.mark.parametrize("grid, code", [
