@@ -8,12 +8,16 @@ handler asks what kind of file it got.  Exit codes: 0 ok; 1 invalid input
 file or config); 2 exact-solver cap exceeded, and nothing else; 3
 internal invariant violation.  A sweep writes its reports whatever its
 rows hold, then exits 2 when every failed row exceeded the solver cap and
-1 when any other row failed.
+1 when any other row failed.  `sweep` takes one config or several: every
+config is read and checked before the first one runs, and then each runs
+in turn in this one process, so they share one worker pool (see
+`reports`); the exit code covers the rows of them all.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -68,9 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a parameter grid and emit "
                                          "CSV + JSON reports")
-    sweep.add_argument("config", help="sweep config JSON file")
+    sweep.add_argument("configs", nargs="+", metavar="config",
+                       help="sweep config JSON file; several run in turn "
+                            "and share one worker pool")
     sweep.add_argument("--jobs", help="concurrent grid points")
-    sweep.add_argument("--out", help="override the config's report path")
+    sweep.add_argument("--out", help="override the config's report path "
+                                     "(one config only)")
     sweep.add_argument("--format", choices=["csv", "json", "both"],
                        default="both", help="which report files to write")
 
@@ -119,18 +126,35 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    data = read_json(args.config)
-    for key in ("jobs", "out"):  # a given flag overrides the field
-        if getattr(args, key) is not None:
-            data[key] = getattr(args, key)
-    config = SweepConfig.from_dict(data)
-    rows = run_sweep(config)
-    csv_path, json_path = write_reports(rows, config.out,
-                                        formats=args.format)
-    written = " and ".join(str(p) for p in (csv_path, json_path) if p)
-    failures = [r["offline_kind"] for r in rows
-                if r["offline_kind"].startswith("error:")]
-    print(f"wrote {written} ({len(rows)} rows, {len(failures)} failed)")
+    several = len(args.configs) > 1
+    if several and args.out is not None:
+        raise ValueError(f"--out: names the reports of one config, not of "
+                         f"{len(args.configs)}")
+    configs = []
+    for path in args.configs:  # all are checked before the first one runs
+        data = read_json(path)
+        for key in ("jobs", "out"):  # a given flag overrides the field
+            if getattr(args, key) is not None:
+                data[key] = getattr(args, key)
+        try:
+            configs.append(SweepConfig.from_dict(data))
+        except ValueError as exc:
+            if not several:
+                raise
+            raise ValueError(f"{path}: {exc}") from exc
+    outs = [os.path.abspath(config.out) for config in configs]
+    if len(set(outs)) < len(outs):
+        raise ValueError("two configs write their reports to the same path")
+    failures = []
+    for config in configs:
+        rows = run_sweep(config)
+        csv_path, json_path = write_reports(rows, config.out,
+                                            formats=args.format)
+        written = " and ".join(str(p) for p in (csv_path, json_path) if p)
+        failed = [r["offline_kind"] for r in rows
+                  if r["offline_kind"].startswith("error:")]
+        print(f"wrote {written} ({len(rows)} rows, {len(failed)} failed)")
+        failures += failed
     if not failures:
         return EXIT_OK
     if all(kind.startswith("error:SolverCapExceeded:") for kind in failures):

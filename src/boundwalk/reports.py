@@ -24,16 +24,21 @@ is immutable and every weight source is a pure function of the visit
 sequence.  Costs beyond the solver cap are not shared, since they depend
 on each row's own walk.
 
-A process keeps one worker pool.  It starts at the first sweep with
-jobs > 1 (importing, loading a config or a jobs = 1 sweep starts none), and
-every later sweep with the same `jobs` reuses it; a sweep with another
-`jobs` shuts it down, waiting for its workers, before it starts its own.
-Workers see the package as it was when the pool started, and keep only
-pure caches from one sweep to the next (`solver._cached_plan`, numpy's
-first-call set-up), so rows do not depend on which sweeps ran before.  A
-kept pool found broken (a worker died between sweeps) is dropped and the
-sweep runs again on a fresh one; a fresh pool that breaks raises.  The
-interpreter's exit joins the workers of the pool still kept.
+A process keeps one worker pool, so that `boundwalk sweep` given several
+configs (one per family, say) starts its workers once rather than once per
+config; a single sweep starts them once, as it always did.  The pool starts
+at the first sweep with jobs > 1 (importing, loading a config or a jobs = 1
+sweep starts none), and every later sweep with the same `jobs` reuses it; a
+sweep with another `jobs` shuts it down, waiting for its workers, before it
+starts its own.  Workers see the package as it was when the pool started,
+and keep only pure caches from one sweep to the next
+(`solver._cached_plan`, numpy's first-call set-up), so rows do not depend
+on which sweeps ran before.  When a kept pool breaks, the sweep is run
+once more on a fresh pool; tasks are pure, so its rows are the same.  The
+break cannot tell a worker that died between sweeps from a task that
+killed its worker during this one, so such a task runs twice before the
+sweep raises; a fresh pool that breaks raises at once.  The interpreter's
+exit joins the workers of the pool still kept.
 
 CSV and JSON emissions carry identical string-valued rows; rows are sorted
 before emission so identical configs produce identical bytes.

@@ -517,6 +517,43 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: bad field 'out': {given!r} names no file\n")
 
+    def test_sweep_checks_every_config_before_the_first_runs(
+            self, tmp_path, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"family": "complete",
+                                    "grid": {"k": [3]},
+                                    "out": str(tmp_path / "rep")}),
+                        encoding="utf-8")
+        bad.write_text(json.dumps({"family": "complete", "grid": {"k": [1]},
+                                   "out": str(tmp_path / "other")}),
+                       encoding="utf-8")
+        assert main(["sweep", str(good), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: bad field 'grid': ")
+        assert not (tmp_path / "rep.csv").exists()
+
+    @pytest.mark.parametrize("outs, flags, message", [
+        (["a", "b"], ["--out", "c"], "--out: names the reports of one "
+                                     "config, not of 2"),
+        (["a", "sub/../a"], [], "two configs write their reports to the "
+                                "same path"),
+    ])
+    def test_sweep_refuses_configs_that_share_reports(
+            self, outs, flags, message, tmp_path, capsys, monkeypatch):
+        def no_rows(config):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_rows)
+        paths = []
+        for i, out in enumerate(outs):
+            paths.append(tmp_path / f"cfg{i}.json")
+            paths[-1].write_text(json.dumps(
+                {"family": "complete", "grid": {"k": [3]},
+                 "out": str(tmp_path / out)}), encoding="utf-8")
+        assert main(["sweep", *map(str, paths), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("family, grid", [
         ("grid", {"m": [4], "alpha": ["3/2", "2"]}),
         ("random", {"n": [5], "alpha": ["1/2"]}),

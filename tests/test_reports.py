@@ -23,6 +23,15 @@ from boundwalk.reports import (CSV_COLUMNS, MAX_JOBS, SweepConfig,
                                run_sweep, write_reports)
 
 
+@pytest.fixture(autouse=True)
+def no_kept_pool():
+    """No worker pool outlives its test: kept workers run the package as
+    it was when they started, so a later test's monkeypatch would not
+    reach them."""
+    yield
+    reports._drop_pool()
+
+
 def sweep_config(**overrides):
     data = {
         "family": "complete",
@@ -462,6 +471,28 @@ class TestWorkerPool:
         assert len(worker_pids()) == 2
         assert not worker_pids() & {p.pid for p in old}
 
+    def test_one_cli_sweep_of_several_configs_starts_one_pool(
+            self, tmp_path, capsys, monkeypatch):
+        started = []
+
+        def starting(max_workers):
+            started.append(max_workers)
+            return ProcessPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr(reports, "ProcessPoolExecutor", starting)
+        paths = []
+        for i, config in enumerate(SMALL):
+            paths.append(tmp_path / f"sweep{i}.json")
+            paths[-1].write_text(json.dumps(
+                {**config, "out": str(tmp_path / f"rep{i}")}),
+                encoding="utf-8")
+        assert main(["sweep", *map(str, paths), "--jobs", "2"]) == 0
+        assert started == [2]
+        assert capsys.readouterr().out.count("wrote") == 2
+        for i, config in enumerate(SMALL):
+            assert (tmp_path / f"rep{i}.csv").read_text(
+                encoding="utf-8") == sweep_bytes(config, 1)
+
     def test_nothing_starts_before_a_pooled_sweep(self):
         # importing and loading a jobs = 2 config start no process and no
         # thread, so the benchmark's set-up time cannot include a pool
@@ -508,6 +539,20 @@ def test_cli_sweep_exit_code_names_failed_rows(grid, code, tmp_path, capsys):
     rows = rows_from_csv((tmp_path / "rep.csv").read_text())
     assert sum(r["offline_kind"].startswith("error:") for r in rows) == 1
     assert json.loads((tmp_path / "rep.json").read_text()) == rows
+
+
+def test_cli_sweep_exit_code_covers_every_config(tmp_path, capsys):
+    configs = [{"family": "complete", "grid": {"k": [3], "alpha": ["2"]}},
+               {"family": "random", "grid": {"n": [30], "alpha": ["2"]}}]
+    paths = []
+    for i, config in enumerate(configs):
+        paths.append(tmp_path / f"sweep{i}.json")
+        paths[-1].write_text(json.dumps(
+            {**config, "explorers": ["precompute"], "seeds": [0],
+             "out": str(tmp_path / f"rep{i}")}), encoding="utf-8")
+    assert main(["sweep", *map(str, paths)]) == 2
+    out = capsys.readouterr().out
+    assert "(1 rows, 0 failed)" in out and "(1 rows, 1 failed)" in out
 
 
 def sha256(text):
