@@ -70,8 +70,7 @@ class RecursiveSpec:
 class _Component:
     s: int
     t: int
-    children: list["_Component"]  # empty for a leaf, a unit path
-    path: list[int]  # leaves only
+    children: list["_Component"]  # empty for a leaf, the unit path s..t
 
     @property
     def anchors(self) -> tuple[int, int]:
@@ -87,17 +86,16 @@ def _build_component(level: int, k: int, alpha: Fraction, next_id: int,
     """The level-`level` component on ids from `next_id` up, its edges
     appended to `edges` and its anchor pair recorded for both anchors."""
     if level == 0:
-        verts = list(range(next_id, next_id + k + 1))
-        edges.extend(Edge(a, b, Fraction(1), Fraction(1))
-                     for a, b in zip(verts, verts[1:]))
-        comp = _Component(verts[0], verts[-1], [], verts)
+        comp = _Component(next_id, next_id + k, [])
+        edges.extend(Edge(a, a + 1, Fraction(1), Fraction(1))
+                     for a in range(comp.s, comp.t))
     else:
         last, children = next_id, []  # the last id taken
         for _ in range(k):
             children.append(_build_component(level - 1, k, alpha, last + 1,
                                              edges, pair_of))
             last = children[-1].t
-        comp = _Component(next_id, last + 1, children, [])
+        comp = _Component(next_id, last + 1, children)
         pairs = [(comp.s, b) for b in children[0].anchors]
         for left, right in zip(children, children[1:]):
             pairs += [(a, b) for a in left.anchors for b in right.anchors]
@@ -197,8 +195,9 @@ class RecursiveBundle:
             if key in memo:
                 return memo[key]
             if not comp.children:
-                path = comp.path if entry == comp.s else comp.path[::-1]
-                out = (list(path), Fraction(len(path) - 1))
+                span = range(comp.s, comp.t + 1)  # a unit path's vertices
+                path = list(span if entry == comp.s else reversed(span))
+                out = (path, Fraction(len(path) - 1))
             else:
                 seq = comp.children if entry == comp.s else comp.children[::-1]
                 # states: (cost, path) keyed by current exit vertex
@@ -255,8 +254,8 @@ def recursive_vertex_count(k: int, depth: int) -> int:
 
 @dataclass(frozen=True)
 class CompleteAdvSpec:
-    """Half size k (the graph is K_{2k}) and spread alpha, in the ranges of
-    `FAMILIES["complete"]`.
+    """Half size k (the graph is K_{2k}, or K_{k,k} where k is the
+    bipartite family's n) and spread alpha, in that family's ranges.
 
     For alpha > 2 the construction cannot beat 3/2, so alpha is clamped to 2.
     """
@@ -264,9 +263,10 @@ class CompleteAdvSpec:
     k: int
     alpha: Fraction
 
-    def validated(self) -> "CompleteAdvSpec":
-        p = _checked("complete", k=self.k, alpha=self.alpha)
-        return CompleteAdvSpec(p["k"], min(p["alpha"], Fraction(2)))
+    def validated(self, family: str = "complete") -> "CompleteAdvSpec":
+        size = FAMILIES[family].params[0]  # a refusal names k, or n
+        p = _checked(family, **{size: self.k, "alpha": self.alpha})
+        return CompleteAdvSpec(p[size], min(p["alpha"], Fraction(2)))
 
 
 class HalvesAdversary:
@@ -330,7 +330,7 @@ def build_complete_adversary(spec: CompleteAdvSpec) -> Instance:
 
 def build_bipartite_adversary(spec: CompleteAdvSpec) -> Instance:
     """K_{n,n} with start and end on different sides, analogous phase rule."""
-    spec = spec.validated()
+    spec = spec.validated("bipartite")
     n = spec.k
     graph = complete_bipartite_graph(n, n, spec.alpha, start=0, end=2 * n - 1)
     return Instance(graph, HalvesAdversary(n, spec.alpha, graph.edges), None)

@@ -1,15 +1,15 @@
 """Online exploration policies: lower-bound precompute, worst-case
 replanning, and a nearest-neighbor baseline.
 
-Policies are per-episode values (precompute keeps a plan and a replay
-index); create a fresh one per run via make_explorer.  The adaptive and nn
-explorers keep one `Distances` per episode: all-pairs distances under the
-pessimistic weights (revealed actuals, upper bounds elsewhere), built when
-an episode starts and lowered by each reveal since the previous decision.
-Reveals only ever lower a pessimistic weight, so this matches a rebuild
-exactly.  A view whose reveals do not extend those of the last view seen
-(another graph or episode, or an earlier step) gets a fresh build, so
-reusing one of these explorers never changes its decisions.
+Precompute keeps its plan per graph and reads its place on the walk from
+the view's history.  The adaptive and nn explorers keep one `Distances`
+per episode: all-pairs distances under the pessimistic weights (revealed
+actuals, upper bounds elsewhere), built when an episode starts and lowered
+by each reveal since the previous decision.  Reveals only ever lower a
+pessimistic weight, so this matches a rebuild exactly.  A view whose
+reveals do not extend those of the last view seen (another graph or
+episode, or an earlier step) gets a fresh build.  So reusing any explorer
+never changes its decisions.
 
 The adaptive explorer plans in integers on that `Distances`
 (`solver.worst_case_plan`) and converts only the plan cost to a Fraction.
@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .engine import KnowledgeView
-from .graph import Distances
+from .graph import Distances, EstimateGraph
 from .solver import (CoverTask, DEFAULT_EXACT_CAP, SuffixTable,
                      optimal_cover_walk, pessimistic_weights, worst_case_plan)
 
@@ -57,20 +57,20 @@ class PrecomputeExplorer:
 
     def __init__(self, cap: int = DEFAULT_EXACT_CAP):
         self._cap = cap
-        self._walk: tuple[int, ...] | None = None
-        self._step = 0
+        self._plan: tuple[EstimateGraph, tuple[int, ...]] | None = None
 
     def decide(self, view: KnowledgeView) -> int:
-        if self._walk is None:
-            graph = view.graph
+        graph = view.graph
+        if self._plan is None or self._plan[0] is not graph:
             lower = {eid: e.lower for eid, e in enumerate(graph.edges)}
             walk, _ = optimal_cover_walk(
                 graph, CoverTask.full_cover(graph, lower), cap=self._cap)
-            self._walk = walk.vertices
-        if self._walk[self._step] != view.position:
+            self._plan = graph, walk.vertices
+        walk = self._plan[1]
+        step = len(view.history)
+        if step + 1 >= len(walk) or walk[step] != view.position:
             raise RuntimeError("precompute replay desynchronized")
-        self._step += 1
-        return self._walk[self._step]
+        return walk[step + 1]
 
 
 class AdaptiveExplorer:

@@ -27,12 +27,13 @@ task's weights; `worst_case_plan` takes its caller's (the replanning
 explorers keep one per episode).  `parse_cap` refuses a cap outside
 1..MAX_EXACT_CAP before any work, so no numpy table exceeds 20 * 2**19
 cells.
-A numpy kernel handles interiors of 5 or more vertices, a plain-Python
-kernel smaller ones and arbitrarily large integers; both implement the
-same recurrence and hand the reconstruction the same `column(mask) ->
-per-vertex costs` accessor.  Reading a table checks it: the cost it
-gives at the first step must be the cost of the order it leads to (the
-Held-Karp reconstruction invariant), which a stale or corrupted one breaks.
+The closure's width alone picks the kernel, at any interior: numpy while
+max entry * (r + 1) < 2**48, plain Python on unbounded integers past it.
+Both implement the same recurrence and hand the reconstruction the same
+`column(mask) -> per-vertex costs` accessor.  Reading a table checks it:
+the cost it gives at the first step must be the cost of the order it
+leads to (the Held-Karp reconstruction invariant), which a stale or
+corrupted one breaks.
 
 `worst_case_plan` reads its table through a `SuffixTable`, which keeps
 the last one built.  A table depends only on the integer closure among
@@ -102,8 +103,6 @@ BRUTE_FORCE_CAP = 10
 # peaks at 24.6, 48.5 and 96.4 MiB (tracemalloc)
 MAX_EXACT_CAP = 22
 
-# numpy pays off once the mask space is non-trivial
-_NUMPY_MIN_INTERIOR = 5
 # interiors up to this size keep their kernel bits cached and their read
 # rows as first read
 _PLAN_CACHE_MAX = 12
@@ -247,7 +246,7 @@ def _layer_bits(m: int) -> Iterator[tuple[_Bits, _Bits]]:
     where = (bit >> 3, (1 << (bit & 7)).astype(np.uint8)[:, None])
     layers = _mask_layers(m)
     next(layers)
-    below = next(layers)
+    below = next(layers, None)  # an empty interior has no layer 1
     for layer in layers:
         yield _Bits(layer, where, True), _Bits(below, where, False)
         below = layer
@@ -312,7 +311,7 @@ def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
         # row i keeps y[i] at the columns lacking i, in order: the layer-p
         # masks holding i, C(m - 1, p - 1) of them
         rows = max(1, _BLOCK_CELLS // prev.size)
-        # kept: the block loop alone solved interiors 5-10 1.1-1.5x slower
+        # kept: without it adaptive-replan rounds ran 4-6% slower
         if rows >= m:  # one broadcast for the layer, no spans to track
             kept = (prev[:, None] + DU[:, :, None]).min(axis=0)[lack[:m]]
             kept = kept.reshape(m, -1)
@@ -341,11 +340,11 @@ def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
 
 def _suffix_table(D: list[list[int]], dest_i: int, interior: list[int]
                   ) -> Callable[[int], list[int]]:
-    """The suffix table of `interior` toward dest_i, built by numpy from
-    an interior of _NUMPY_MIN_INTERIOR when the closure fits a dtype: the
-    narrowest whose limit exceeds max entry * (r + 1)."""
+    """The suffix table of `interior` toward dest_i, chosen by width: the
+    numpy kernel in the narrowest dtype whose limit exceeds max entry *
+    (r + 1), the Python kernel past _INT64_LIMIT."""
     reach = max(max(row) for row in D) * (len(D) + 1)
-    if len(interior) >= _NUMPY_MIN_INTERIOR and reach < _INT64_LIMIT:
+    if reach < _INT64_LIMIT:
         dtype = (np.int16 if reach < _INT16_LIMIT
                  else np.int32 if reach < _INT32_LIMIT else np.int64)
         return _suffix_table_np(D, dest_i, interior, dtype)

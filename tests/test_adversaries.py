@@ -179,6 +179,17 @@ class TestBipartiteAdversary:
                               make_explorer("adaptive"))
             assert rep.ratio <= (alpha + 1) / 2
 
+    def test_refusals_name_the_family_parameter_n(self):
+        with pytest.raises(InvalidSpec, match="bad parameter 'n': expected "
+                           "an integer >= 2, got 1"):
+            build_bipartite_adversary(CompleteAdvSpec(1, F(2)))
+        with pytest.raises(InvalidSpec, match="parameter 'n': 600 would "
+                           "build more than"):
+            build_bipartite_adversary(CompleteAdvSpec(600, F(2)))
+        # and alpha is clamped as for the complete family
+        bundle = build_bipartite_adversary(CompleteAdvSpec(2, F(5, 2)))
+        assert {e.upper for e in bundle.graph.edges} == {F(2)}
+
     def test_degenerate_alpha_one_rejected_but_uniform_one_ok(self):
         with pytest.raises(InvalidSpec):
             CompleteAdvSpec(3, F(1)).validated()

@@ -66,16 +66,18 @@ class TestPrecompute:
         assert rep.online_cost == F(6)
 
     def test_replay_refuses_a_view_off_its_walk(self):
-        # asked twice at the start, the replay expects to be at its
-        # second vertex
-        g = EstimateGraph(3, [Edge(0, 1, F(1), F(1)),
-                              Edge(1, 2, F(1), F(1))], 0, 2)
-        src = FixedAssignment(WeightAssignment({0: F(1), 1: F(1)}))
+        # the plan on the triangle is 0, 1, 2; a view that went straight
+        # to the end first is not on it, nor one with more moves than it
+        g = complete_graph(3, F(2), start=0, end=2)
+        src = FixedAssignment(WeightAssignment({0: F(1), 1: F(1), 2: F(1)}))
         explorer = make_explorer("precompute")
         view = start_episode(g, src)
         assert explorer.decide(view) == 1
-        with pytest.raises(RuntimeError, match="desynchronized"):
-            explorer.decide(view)
+        assert explorer.decide(view) == 1  # one decision, made twice
+        off = move(view, 2)
+        for view in (off, move(move(off, 0), 2)):
+            with pytest.raises(RuntimeError, match="desynchronized"):
+                explorer.decide(view)
 
     def test_cap_exceeded_propagates(self):
         g = complete_graph(12, F(2))
@@ -184,7 +186,7 @@ def grid_episode_source():
     return bundle.graph, FixedAssignment(bundle.assignment)
 
 
-@pytest.mark.parametrize("name", ["adaptive", "nn"])
+@pytest.mark.parametrize("name", ["precompute", "adaptive", "nn"])
 def test_reused_explorer_decides_as_fresh_ones(name):
     # one explorer through whole episodes, then views out of order
     # (skipped, repeated, reversed, or alternating between two episodes

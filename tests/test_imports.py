@@ -1,6 +1,8 @@
-"""Every name a `boundwalk` module imports is used in that module, so a
-deletion cannot leave a dead import behind.  The package `__init__` is
-left out: its imports are the public names it re-exports."""
+"""Every name a `boundwalk` module imports is used in that module, and
+every name a module assigns at its top level is read somewhere in the
+package, so a deletion cannot leave a dead import or constant behind.  The
+package `__init__` is left out of the import check: its imports are the
+public names it re-exports."""
 import ast
 from pathlib import Path
 
@@ -8,8 +10,8 @@ import pytest
 
 import boundwalk
 
-MODULES = sorted(p for p in Path(boundwalk.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(boundwalk.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def imported_names(tree):
@@ -56,3 +58,44 @@ def test_string_annotations_count_as_uses():
                      "def f(v: 'View') -> 'list[Walk]': pass\n")
     assert {"TYPE_CHECKING", "View", "list", "Walk"} <= set(names_in(tree))
     assert "View" not in set(names_in(ast.parse("x = 'View'")))
+
+
+def assigned_names(tree):
+    """(name, line) for every name a module assigns at its top level,
+    dunders aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if (isinstance(sub, ast.Name)
+                        and not (sub.id.startswith("__")
+                                 and sub.id.endswith("__"))):
+                    yield sub.id, node.lineno
+
+
+def read_names(tree):
+    """Every name the module loads."""
+    return {sub.id for sub in ast.walk(tree)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)
+def test_every_module_constant_is_read(path):
+    read = set().union(*(read_names(ast.parse(p.read_text(encoding="utf-8")))
+                         for p in PACKAGE))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = [f"{name} (line {line})" for name, line in assigned_names(tree)
+              if name not in read]
+    assert unread == [], f"{path.name} assigns but nothing reads {unread}"
+
+
+def test_assigned_names_are_top_level_and_not_dunders():
+    tree = ast.parse("A = 1\nB: int = 2\nC, (D, E) = 3, (4, 5)\n"
+                     "__all__ = []\ndef f():\n    F = 6\n")
+    assert [name for name, _ in assigned_names(tree)] == list("ABCDE")
+    assert read_names(ast.parse("A = 1\nB = A")) == {"A"}

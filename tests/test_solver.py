@@ -168,12 +168,12 @@ def _int64_closure():
     return g, task, D
 
 
-def _kernel_cases(seeds):
+def _kernel_cases(seeds, smallest=0):
     """(D, dtype): `seeds` random closures for each interior from
-    _NUMPY_MIN_INTERIOR to _PLAN_CACHE_MAX, each built in int16 and in
-    int32, then the int64 K_10 closure."""
+    `smallest` to _PLAN_CACHE_MAX, each built in int16 and in int32, then
+    the int64 K_10 closure."""
     cases = []
-    for m in range(solver._NUMPY_MIN_INTERIOR, solver._PLAN_CACHE_MAX + 1):
+    for m in range(smallest, solver._PLAN_CACHE_MAX + 1):
         for seed in range(seeds):
             D = _random_closure(m, seed)
             cases += [(D, np.int16), (D, np.int32)]
@@ -226,8 +226,10 @@ def test_kernel_blocks_agree(monkeypatch, block):
     # a layer whose broadcast exceeds _BLOCK_CELLS is split by target
     # rows, and a row that exceeds it by columns; layer 2 has m columns.
     # Three rows a block, so past the plan cache, where a block's bits are
-    # computed from the masks' byte planes, a block straddles bit 8
-    for D, dtype in _kernel_cases(seeds=1):
+    # computed from the masks' byte planes, a block straddles bit 8.  A
+    # layer splits by rows only when three rows are fewer than m, so every
+    # interior here is at least 4
+    for D, dtype in _kernel_cases(seeds=1, smallest=4):
         m = len(D) - 2
         cells = {"one cell": 1, "rows": 3 * m * m, "columns": m * m // 2}
         with monkeypatch.context() as patch:
@@ -307,7 +309,7 @@ def test_cached_plans_stay_small():
     # every cached plan together, arrays only: the read rows, their filled
     # flags and the per-layer bit masks of the build
     total = 0
-    for m in range(solver._NUMPY_MIN_INTERIOR, solver._PLAN_CACHE_MAX + 1):
+    for m in range(solver._PLAN_CACHE_MAX + 1):
         cells, steps = solver._cached_plan(m)
         held = _held(cells)
         total += held["rows"].nbytes + len(held["filled"])
@@ -386,7 +388,7 @@ def test_cell_reader_and_table_match_a_sorted_layout():
     # the index of mask minus bit j (the bits above j moved down one) in
     # the sorted list of the masks over m - 1 bits of its popcount; each
     # read keeps its row
-    for m in range(solver._NUMPY_MIN_INTERIOR, solver._PLAN_CACHE_MAX + 1):
+    for m in range(solver._PLAN_CACHE_MAX + 1):
         ranks = {}
         for p in range(m):
             layer = sorted(s for s in range(1 << (m - 1))
@@ -453,24 +455,40 @@ def test_corrupted_table_cell_fails_the_solve(monkeypatch):
         optimal_cover_walk(g, task)
 
 
-def test_large_denominators_take_python_kernel(monkeypatch):
-    # coprime denominators near 10**5 push the scaled closure entries past
-    # the int64 guard, so an interior of 8 (numpy-sized) must run in Python
-    primes = (99991, 99989, 99971, 99961, 99929)
-    g = complete_graph(10, F(2))
-    w = {eid: 1 + F(eid, primes[eid % 5]) for eid in range(len(g.edges))}
+def _guard_case(r, past):
+    """K_r whose edge weights 1 + (eid + 1) / q, all distinct, scale to
+    closure entries q + eid + 1: one q puts max entry * (r + 1) past the
+    int64 guard, the other under it."""
+    q = 1 << 47 if past else 1 << 20
+    g = complete_graph(r, F(2))
+    w = {eid: 1 + F(eid + 1, q) for eid in range(len(g.edges))}
     task = cover_all(g, w)
     D = Distances(g, w).among(task.required_vertices())
-    assert max(map(max, D)) * (len(D) + 1) >= solver._INT64_LIMIT
+    assert (max(map(max, D)) * (len(D) + 1) >= solver._INT64_LIMIT) == past
+    return g, w, task
 
-    def no_numpy(*args):
-        raise AssertionError("numpy kernel used beyond the int64 guard")
 
-    monkeypatch.setattr(solver, "_suffix_table_np", no_numpy)
-    walk, cost = optimal_cover_walk(g, task)
-    bwalk, bcost = brute_force_cover(g, task)
-    assert (walk.vertices, cost) == (bwalk.vertices, bcost)
-    assert walk_violations(g, walk, w) == []
+def test_large_denominators_take_python_kernel(monkeypatch):
+    # the closure's width alone picks the kernel, whatever the interior:
+    # numpy under the int64 guard, Python past it, and both solve as the
+    # brute force does.  An empty interior builds a table too, never read
+    built = []
+    for name in ("_suffix_table_np", "_suffix_table_py"):
+        def counted(*args, kernel=getattr(solver, name), name=name):
+            built.append((name, len(args[2])))
+            return kernel(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    for interior in (0, 2, 5, 8):
+        for past in (False, True):
+            g, w, task = _guard_case(interior + 2, past)
+            built.clear()
+            walk, cost = optimal_cover_walk(g, task)
+            kernel = "_suffix_table_py" if past else "_suffix_table_np"
+            assert built == [(kernel, interior)], (interior, past)
+            bwalk, bcost = brute_force_cover(g, task)
+            assert (walk.vertices, cost) == (bwalk.vertices, bcost)
+            assert walk_violations(g, walk, w) == []
 
 
 def test_lexicographic_tie_breaking():
