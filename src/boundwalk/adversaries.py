@@ -271,22 +271,35 @@ class CompleteAdvSpec:
 
 class HalvesAdversary:
     """First `threshold` distinct visited vertices form the cheap set A;
-    edges with an endpoint in A reveal weight 1, all others alpha."""
+    edges with an endpoint in A reveal weight 1, all others alpha.
+
+    An arrival asks about every edge at its vertex with one visit
+    sequence, so the cheap set is kept with the sequence it came from and
+    reused only for an equal one: a weight depends on `(eid, visit_seq)`
+    alone."""
 
     def __init__(self, threshold: int, alpha: Fraction,
                  edges: Sequence[Edge]):
         self._threshold = threshold
         self._alpha = alpha
         self._edges = edges
+        # (visit sequence, its cheap set), replaced as one value
+        self._last: tuple[tuple[int, ...], frozenset[int]] = ((), frozenset())
 
-    def _cheap_set(self, visit_seq: Sequence[int]) -> set[int]:
+    def _cheap_set(self, visit_seq: Sequence[int]) -> frozenset[int]:
+        seq = tuple(visit_seq)
+        last_seq, cheap = self._last
+        if seq == last_seq:
+            return cheap
         seen: list[int] = []
-        for v in visit_seq:
+        for v in seq:
             if v not in seen:
                 seen.append(v)
                 if len(seen) == self._threshold:
                     break
-        return set(seen)
+        cheap = frozenset(seen)
+        self._last = seq, cheap
+        return cheap
 
     def _weight(self, eid: int, visit_seq: Sequence[int]) -> Fraction:
         a_set = self._cheap_set(visit_seq)

@@ -4,12 +4,14 @@ replanning, and a nearest-neighbor baseline.
 Precompute keeps its plan per graph and reads its place on the walk from
 the view's history.  The adaptive and nn explorers keep one `Distances`
 per episode: all-pairs distances under the pessimistic weights (revealed
-actuals, upper bounds elsewhere), built when an episode starts and lowered
-by each reveal since the previous decision.  Reveals only ever lower a
-pessimistic weight, so this matches a rebuild exactly.  A view whose
-reveals do not extend those of the last view seen (another graph or
-episode, or an earlier step) gets a fresh build.  So reusing any explorer
-never changes its decisions.
+actuals, upper bounds elsewhere), built when an episode starts and
+repaired in O(n^2) once per arrival since the previous decision, with
+every edge that arrival revealed.  Reveals only ever lower a pessimistic
+weight, and a shortest path meets the arrival vertex at most once, so it
+uses at most one of the lowered edges: the repair matches a rebuild
+exactly.  A view whose reveals do not extend those of the last view seen
+(another graph or episode, or an earlier step) gets a fresh build.  So
+reusing any explorer never changes its decisions.
 
 The adaptive explorer plans in integers on that `Distances`
 (`solver.worst_case_plan`) and converts only the plan cost to a Fraction.
@@ -21,6 +23,8 @@ never changes a decision.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 
 from .engine import KnowledgeView
 from .graph import Distances, EstimateGraph
@@ -40,8 +44,11 @@ class _EpisodeDistances:
         # the matrix depends only on the graph and the reveals so far
         if (last is not None and view.graph is last.graph
                 and view.reveals[:len(last.reveals)] == last.reveals):
-            for event in view.reveals[len(last.reveals):]:
-                self._distances.lower(event.edge, event.weight)
+            # one repair per arrival: its reveals share their trigger
+            for vertex, events in groupby(view.reveals[len(last.reveals):],
+                                          attrgetter("trigger")):
+                self._distances.lower(
+                    vertex, {event.edge: event.weight for event in events})
         else:
             self._distances = Distances(
                 view.graph, pessimistic_weights(view.graph, view.revealed))

@@ -9,8 +9,10 @@ id wins, then smaller edge id.
 
 Every shortest distance and path comes from `Distances`, an all-pairs
 matrix built by Floyd-Warshall and kept exact as edge weights decrease:
-`lower` repairs it in O(n^2) per edge (a decrease-only dynamic update),
-and rescales it when a weight brings a new denominator.  A path from u is
+`lower` takes every edge an arrival at a vertex v reveals and repairs the
+matrix once, in O(n^2) (a decrease-only dynamic update), which is exact
+because a shortest path meets v at most once; it rescales the matrix when
+the new weights bring a new denominator.  A path from u is
 rebuilt from u's distance row alone: each vertex x != u is entered from
 pred(x) = min{y in N(x) : d(u, y) + w(y, x) = d(u, x)}, the smallest
 optimal predecessor, which is the one a Dijkstra that keeps the smaller
@@ -112,14 +114,17 @@ class EstimateGraph:
         for rows in adj:
             rows.sort()
         self._adj = adj
+        self._incident = [tuple(sorted(eid for _, eid in rows))
+                          for rows in adj]
         self._eindex = index
 
     def neighbors(self, v: int) -> list[tuple[int, int]]:
         """(neighbor, edge id) pairs sorted by neighbor id."""
         return self._adj[v]
 
-    def incident_edges(self, v: int) -> list[int]:
-        return sorted(eid for _, eid in self._adj[v])
+    def incident_edges(self, v: int) -> tuple[int, ...]:
+        """Edge ids at v, ascending."""
+        return self._incident[v]
 
     def edge_between(self, a: int, b: int) -> int | None:
         key = (a, b) if a < b else (b, a)
@@ -246,9 +251,10 @@ def check_weights(graph: EstimateGraph, weights: Mapping[int, Fraction]) -> None
 def scale_to_integers(graph: EstimateGraph,
                       weights: Mapping[int, Fraction]) -> tuple[int, list[int]]:
     """Common denominator L and the integer weights w*L, indexed by edge id."""
-    ws = [weights[eid] for eid in range(len(graph.edges))]
-    denom = lcm(*(w.denominator for w in ws))
-    return denom, [w.numerator * (denom // w.denominator) for w in ws]
+    ratios = [weights[eid].as_integer_ratio()
+              for eid in range(len(graph.edges))]
+    denom = lcm(*(den for _, den in ratios))
+    return denom, [num * (denom // den) for num, den in ratios]
 
 
 class Distances:
@@ -256,12 +262,14 @@ class Distances:
     weights that only ever decrease, as an n x n integer matrix over one
     denominator.
 
-    Built by Floyd-Warshall; `lower(eid, w)` then decreases one edge's
-    weight and repairs every distance in O(n^2), since a shortest path uses
-    the lowered edge at most once.  The matrix is int64 while n times the
-    largest scaled weight stays below 2**59, so no sum of two distances and
-    a weight overflows; beyond that (huge denominators) it holds Python
-    integers.  A disconnected graph is refused, so every entry is finite.
+    Built by Floyd-Warshall; `lower(v, changes)` then decreases the weights
+    of edges incident to v and repairs every distance in one O(n^2) pass:
+    a shortest path meets v at most once, so it uses at most one lowered
+    edge, and only as its step into or out of v.  The matrix is int64 while
+    n times the largest scaled weight stays below 2**59, so no sum of two
+    distances and a weight overflows; beyond that (huge denominators) it
+    holds Python integers.  A disconnected graph is refused, so every entry
+    is finite.
     """
 
     def __init__(self, graph: EstimateGraph,
@@ -271,39 +279,57 @@ class Distances:
             raise ValueError(f"{n} vertices exceed the limit of "
                              f"{MAX_VERTICES}")
         check_weights(graph, weights)
-        if not _connected(graph):
-            raise ValueError("graph is disconnected")
         self.graph = graph
         self.denom, self._scaled = scale_to_integers(graph, weights)
         self._top = max(self._scaled, default=0)
-        narrow = n * self._top < _INT64_SPAN
-        # longer than any path: the value of a pair no edge joins yet
-        D = np.full((n, n), n * self._top + 1,
-                    dtype=np.int64 if narrow else object)
-        np.fill_diagonal(D, 0)
-        for e, s in zip(graph.edges, self._scaled):
-            if s < D[e.a, e.b]:
-                D[e.a, e.b] = D[e.b, e.a] = s
+        dtype = np.int64 if n * self._top < _INT64_SPAN else object
+        # longer than any path: the value of a pair no edge joins
+        far = n * self._top + 1
+        flat = [far] * (n * n)
+        for (a, b, _, _), s in zip(graph.edges, self._scaled):
+            if s < flat[a * n + b]:
+                flat[a * n + b] = flat[b * n + a] = s
+        flat[::n + 1] = [0] * n
+        D = np.array(flat, dtype=dtype).reshape(n, n)
         for k in range(n):
             np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
+        if n and D[0].max() == far:
+            raise ValueError("graph is disconnected")
         self._matrix = D
 
-    def lower(self, eid: int, weight: Fraction) -> None:
-        """Decrease edge `eid` to `weight` and every distance through it."""
-        factor = lcm(self.denom, weight.denominator) // self.denom
+    def lower(self, vertex: int,
+              changes: Mapping[int, Fraction]) -> None:
+        """Decrease each edge `eid` of `changes`, all incident to `vertex`,
+        to `changes[eid]`, and every distance through them.  Every change
+        is checked before any entry moves."""
+        edges = self.graph.edges
+        denom = lcm(self.denom, *(w.denominator for w in changes.values()))
+        factor = denom // self.denom
+        ends, scaled = [], []
+        for eid, weight in changes.items():
+            e = edges[eid]
+            s = weight.numerator * (denom // weight.denominator)
+            if vertex not in (e.a, e.b):
+                raise ValueError(f"edge {eid} is not incident to vertex "
+                                 f"{vertex}")
+            if not 0 < s <= self._scaled[eid] * factor:
+                raise ValueError(f"weight {weight} for edge {eid} is not a "
+                                 f"positive decrease")
+            ends.append(e.b if e.a == vertex else e.a)
+            scaled.append(s)
+        if not scaled:
+            return
         if factor > 1:
             self._rescale(factor)
-        s = weight.numerator * (self.denom // weight.denominator)
-        if not 0 < s <= self._scaled[eid]:
-            raise ValueError(f"weight {weight} for edge {eid} is not a "
-                             f"positive decrease")
-        self._scaled[eid] = s
-        e = self.graph.edges[eid]
+        for eid, s in zip(changes, scaled):
+            self._scaled[eid] = s
         D = self._matrix
-        if D[e.a, e.b] <= s:  # an a-b path as cheap as the edge remains
-            return
-        np.minimum(D, D[:, e.a, None] + (s + D[None, e.b, :]), out=D)
-        np.minimum(D, D[:, e.b, None] + (s + D[None, e.a, :]), out=D)
+        row = D[vertex]
+        # d(vertex, .) through each lowered edge, then every pair via vertex
+        via = D.take(ends, 0) + np.array(scaled, dtype=D.dtype)[:, None]
+        best = np.minimum(row, np.minimum.reduce(via, axis=0))
+        if (best < row).any():  # else no distance changes
+            np.minimum(D, best[:, None] + best[None, :], out=D)
 
     def _rescale(self, factor: int) -> None:
         self.denom *= factor

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boundwalk import (CompleteAdvSpec, GridSpec, InvalidSpec, RecursiveSpec,
                        alpha_of, build_bipartite_adversary,
@@ -152,6 +153,41 @@ class TestHalfSplitAdversary:
             ratios.append(rep.ratio)
         assert ratios == sorted(ratios)
         assert all(r <= F(3, 2) for r in ratios)
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(2, 4), bipartite=st.booleans(), data=st.data())
+    def test_weights_follow_the_rule_on_every_prefix(self, k, bipartite,
+                                                     data):
+        # asked in a drawn order about prefixes of several visit
+        # sequences, then about every prefix and edge in turn, each time
+        # with a fresh copy (an equal sequence that is another object, a
+        # tuple or a list), the kept cheap set never answers for another
+        # sequence
+        build = (build_bipartite_adversary if bipartite
+                 else build_complete_adversary)
+        bundle = build(CompleteAdvSpec(k, F(2)))
+        graph, source = bundle.graph, bundle.source
+        vertex = st.integers(0, graph.vertex_count - 1)
+        walks = data.draw(st.lists(st.lists(vertex, min_size=1, max_size=8),
+                                   min_size=1, max_size=3))
+        prefixes = [walk[:i] for walk in walks
+                    for i in range(1, len(walk) + 1)]
+        asks = data.draw(st.lists(st.tuples(
+            st.sampled_from(prefixes), st.booleans(),
+            st.sampled_from(range(len(graph.edges))),
+            st.sampled_from([source.reveal, source.complete])),
+            min_size=len(prefixes), max_size=4 * len(prefixes)))
+        asks += [(p, True, eid, call) for p in prefixes
+                 for eid in range(len(graph.edges))
+                 for call in (source.reveal, source.complete)]
+        for prefix, as_tuple, eid, call in asks:
+            cheap = set(list(dict.fromkeys(prefix))[:k])
+            e = graph.edges[eid]
+            expected = F(1) if cheap & {e.a, e.b} else F(2)
+            # made in the call and freed after it, so the next copy may
+            # take its place in memory
+            copy = tuple if as_tuple else list
+            assert call(eid, copy(prefix)) == expected, (prefix, eid)
 
     def test_complete_graph_needs_two_vertices(self):
         with pytest.raises(InvalidSpec, match="n >= 2"):

@@ -278,7 +278,7 @@ class TestDistances:
             lower = graph.edges[eid].lower
             # a new weight in [lower, current] with denominator up to den
             w = lower + (weights[eid] - lower) * F(k % (den + 1), den)
-            lowered.lower(eid, w)
+            lowered.lower(graph.edges[eid].a, {eid: w})
             weights[eid] = w
         assert_same_distances(graph, weights, lowered,
                               Distances(graph, weights))
@@ -293,7 +293,7 @@ class TestDistances:
         assert lowered.denom == 1 and lowered.row(0)[0] == 0
         for eid, den in zip((0, 5, 9, 14), (99991, 99989, 99971, 99961)):
             weights[eid] = 1 + F(eid + 1, den)
-            lowered.lower(eid, weights[eid])
+            lowered.lower(graph.edges[eid].a, {eid: weights[eid]})
         assert lowered.denom == 99991 * 99989 * 99971 * 99961
         assert lowered.denom * 2 * graph.vertex_count >= 1 << 59
         assert all(type(d) is int for d in lowered.row(3))
@@ -307,11 +307,71 @@ class TestDistances:
     def test_lower_refuses_an_increase(self):
         g = path_graph([1, 2], intervals=[(1, 2), (1, 3)])
         dist = Distances(g, {0: F(2), 1: F(2)})
-        dist.lower(0, F(3, 2))
+        dist.lower(0, {0: F(3, 2)})
         with pytest.raises(ValueError):
-            dist.lower(0, F(7, 4))
+            dist.lower(0, {0: F(7, 4)})
         with pytest.raises(ValueError):
-            dist.lower(1, F(0))
+            dist.lower(1, {1: F(0)})
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 9), seed=st.integers(0, 10_000),
+           density=st.sampled_from([0.2, 0.5, 0.9]), data=st.data())
+    def test_arrival_repairs_match_a_fresh_build(self, n, seed, density,
+                                                 data):
+        # each repair lowers a subset of one vertex's edges at once, to
+        # weights over the denominators, large primes included, so that
+        # some batches rescale several times over and cross 2**59
+        graph, _ = random_instance(n, density=density, seed=seed)
+        weights = {eid: e.upper for eid, e in enumerate(graph.edges)}
+        repaired = Distances(graph, weights)
+        for _ in range(data.draw(st.integers(0, 2 * n))):
+            v = data.draw(st.integers(0, n - 1))
+            edges = data.draw(st.lists(
+                st.sampled_from(graph.incident_edges(v)), unique=True))
+            changes = {}
+            for eid in edges:
+                den = data.draw(st.sampled_from(DENOMINATORS))
+                k = data.draw(st.integers(0, den))
+                lower = graph.edges[eid].lower
+                changes[eid] = lower + (weights[eid] - lower) * F(k, den)
+            repaired.lower(v, changes)
+            weights.update(changes)
+        assert_same_distances(graph, weights, repaired,
+                              Distances(graph, weights))
+
+    def test_one_arrival_rescales_once_into_python_integers(self):
+        # vertex 0 of K_6 lowers four edges over large coprime
+        # denominators in one batch: one lcm takes the matrix past 2**59
+        graph = complete_graph(6, F(2))
+        weights = {eid: e.upper for eid, e in enumerate(graph.edges)}
+        repaired = Distances(graph, weights)
+        changes = {eid: 1 + F(eid + 1, den) for eid, den in
+                   zip((0, 1, 2, 4), (99991, 99989, 99971, 99961))}
+        repaired.lower(0, changes)
+        weights.update(changes)
+        assert repaired.denom == 99991 * 99989 * 99971 * 99961
+        assert all(type(d) is int for d in repaired.row(3))
+        assert_same_distances(graph, weights, repaired,
+                              Distances(graph, weights))
+
+    @pytest.mark.parametrize("refused", [
+        {2: F(5, 2)}, {2: F(0)}, {1: F(1, 99991)}],
+        ids=["increase", "zero", "not-incident"])
+    def test_a_refused_change_moves_nothing(self, refused):
+        # the batch's other change is a valid decrease with a new
+        # denominator; the refusal leaves it, the denominator and every
+        # distance as they were, and a later valid batch still repairs
+        g = EstimateGraph(3, [Edge(0, 1, F(1), F(3)), Edge(1, 2, F(1), F(3)),
+                              Edge(0, 2, F(1), F(2))], 0, 2)
+        weights = {0: F(3), 1: F(3), 2: F(2)}
+        dist = Distances(g, weights)
+        before = dist.denom, dist.among([0, 1, 2])
+        with pytest.raises(ValueError):
+            dist.lower(0, {0: F(4, 3), **refused})
+        assert (dist.denom, dist.among([0, 1, 2])) == before
+        dist.lower(0, {0: F(4, 3), 2: F(3, 2)})
+        weights.update({0: F(4, 3), 2: F(3, 2)})
+        assert_same_distances(g, weights, dist, Distances(g, weights))
 
     def test_unreachable_pairs(self):
         # a disconnected graph is refused before any distance is computed
