@@ -6,8 +6,7 @@ from .graph import (AlphaProfile, Distances, Edge, EstimateGraph, Walk,
                     walk_violations)
 from .solver import (BRUTE_FORCE_CAP, CoverTask, DEFAULT_EXACT_CAP,
                      MAX_EXACT_CAP, SolverCapExceeded, brute_force_cover,
-                     optimal_cover_walk, pessimistic_weights,
-                     worst_case_cover_walk)
+                     optimal_cover_walk, pessimistic_weights)
 from .engine import (AdversaryFault, FixedAssignment, IllegalMove,
                      KnowledgeView, Move, Nontermination, Reveal, RunReport,
                      WeightSource, move, realized_assignment, run_episode,

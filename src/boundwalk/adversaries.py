@@ -481,7 +481,11 @@ def _grid_certificate(graph: EstimateGraph, assignment: WeightAssignment,
 
 def parse_fraction(text: str | int | Fraction) -> Fraction:
     """Accept "p/q", integer, or exact decimal strings like "1.5", or a
-    Fraction; floats are refused as inexact, booleans as not numbers."""
+    Fraction; floats are refused as inexact, booleans as not numbers, and
+    exponent notation such as "1e3" because `Fraction` raises ten to its
+    exponent with no size limit."""
+    if isinstance(text, str) and "e" in text.lower():
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
     if (isinstance(text, (int, str, Fraction))
             and not isinstance(text, bool)):
         return Fraction(text)

@@ -25,7 +25,7 @@ from pathlib import Path
 from . import adversaries as adv
 from .engine import EngineError, run_episode
 from .explorers import EXPLORERS, make_explorer
-from .graph import parse_int, validate
+from .graph import InvariantViolation, parse_int, validate
 from .instance_io import (load_instance, load_run, read_json,
                           save_adversary_config, save_instance)
 from .reports import SweepConfig, run_sweep, write_reports
@@ -203,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     except (adv.GridTrapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except EngineError as exc:
+    except (EngineError, InvariantViolation) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -35,6 +35,11 @@ MAX_VERTICES = 1024
 _INT64_SPAN = 1 << 59
 
 
+class InvariantViolation(AssertionError):
+    """An internal invariant failed: a fault of the program, never of its
+    input.  Raised rather than asserted, so `python -O` keeps the check."""
+
+
 class Edge(NamedTuple):
     """Undirected edge with an announced weight interval [lower, upper]."""
 
@@ -147,10 +152,9 @@ class WeightAssignment:
 
 @dataclass(frozen=True)
 class AlphaProfile:
-    """Maximum announced upper/lower ratio, plus the uniform-[1, alpha] flag."""
+    """Maximum announced upper/lower ratio."""
 
     alpha: Fraction
-    uniform: bool
 
 
 @dataclass(frozen=True)
@@ -225,17 +229,15 @@ def _connected(graph: EstimateGraph) -> bool:
 
 
 def alpha_of(graph: EstimateGraph) -> AlphaProfile:
-    """Largest u(e)/l(e) over all edges, with the uniform-interval flag;
-    ratios compare by integer cross-multiplication (lower bounds > 0)."""
+    """Largest u(e)/l(e) over all edges; ratios compare by integer
+    cross-multiplication (lower bounds > 0)."""
     top, bottom = 0, 1
     for e in graph.edges:
         num = e.upper.numerator * e.lower.denominator
         den = e.upper.denominator * e.lower.numerator
         if num * bottom > top * den:
             top, bottom = num, den
-    alpha = Fraction(top, bottom)
-    uniform = all(e.lower == 1 and e.upper == alpha for e in graph.edges)
-    return AlphaProfile(alpha=alpha, uniform=uniform)
+    return AlphaProfile(Fraction(top, bottom))
 
 
 def check_weights(graph: EstimateGraph, weights: Mapping[int, Fraction]) -> None:
@@ -368,7 +370,8 @@ class Distances:
                     path.append(y)
                     break
             else:
-                raise AssertionError(f"no optimal predecessor of vertex {x}")
+                raise InvariantViolation(
+                    f"no optimal predecessor of vertex {x}")
         path.reverse()
         return path
 

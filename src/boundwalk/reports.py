@@ -281,10 +281,6 @@ def rows_to_json(rows: Sequence[dict]) -> str:
     return json.dumps(list(rows), indent=1, sort_keys=True) + "\n"
 
 
-def rows_from_csv(text: str) -> list[dict]:
-    return list(csv.DictReader(io.StringIO(text)))
-
-
 def write_reports(rows: Sequence[dict], out: str | Path,
                   formats: str = "both") -> tuple[Path | None, Path | None]:
     out = Path(out)

@@ -18,15 +18,15 @@ expanded by `Distances.path`.  Its only DP order search is
 one for `worst_case_plan`; `brute_force_cover` calls `_brute_force_order`
 alike.  An empty interior is no special case: the DP reads no cell, the
 brute force tries the empty permutation.  Two epilogues follow.  The oracles
-(`optimal_cover_walk`, `brute_force_cover`, `worst_case_cover_walk`)
-price the walk as a Fraction `Walk` and check it against the cost
-Fraction(total, denom).  `worst_case_plan`, the adaptive explorer's,
-stays in integers: it checks the walk's scaled step weights against the
-DP total and returns both.  The oracles build a fresh `Distances` of the
-task's weights; `worst_case_plan` takes its caller's (the replanning
-explorers keep one per episode).  `parse_cap` refuses a cap outside
-1..MAX_EXACT_CAP before any work, so no numpy table exceeds 20 * 2**19
-cells.
+(`optimal_cover_walk`, `brute_force_cover`) price the walk as a Fraction
+`Walk` and check it against the cost Fraction(total, denom).
+`worst_case_plan`, the adaptive explorer's, stays in integers: it checks
+the walk's scaled step weights against the DP total and returns both.  A
+failed check raises `InvariantViolation`.  The oracles build a fresh
+`Distances` of the task's weights; `worst_case_plan` takes its caller's
+(the replanning explorers keep one per episode).  `parse_cap` refuses a
+cap outside 1..MAX_EXACT_CAP before any work, so no numpy table exceeds
+20 * 2**19 cells.
 The closure's width alone picks the kernel, at any interior: numpy while
 max entry * (r + 1) < 2**48, plain Python on unbounded integers past it.
 Both implement the same recurrence and hand the reconstruction the same
@@ -91,7 +91,8 @@ from typing import (Callable, Iterable, Iterator, Mapping, Sequence,
 
 import numpy as np
 
-from .graph import Distances, EstimateGraph, Walk, parse_int, walk_of_vertices
+from .graph import (Distances, EstimateGraph, InvariantViolation, Walk,
+                    parse_int, walk_of_vertices)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import KnowledgeView
@@ -381,8 +382,9 @@ def _reconstruct(D: list[list[int]], origin_i: int, dest_i: int,
         remaining &= ~(1 << best_j)
     total += D[pos][dest_i]
     order.append(dest_i)
-    assert claimed in (None, total), \
-        f"table claims {claimed}, order costs {total}"
+    if claimed not in (None, total):
+        raise InvariantViolation(f"table claims {claimed}, order costs "
+                                 f"{total}")
     return total, order
 
 
@@ -469,10 +471,11 @@ def parse_cap(value: int | str) -> int:
     return cap
 
 
-def _required(task: CoverTask, cap: int, oracle: str) -> tuple[int, ...]:
-    """`task.required_vertices()`, refused beyond `cap` before any work."""
+def _required(required: tuple[int, ...], cap: int, oracle: str
+              ) -> tuple[int, ...]:
+    """The required vertices of a solve, refused beyond `cap` before any
+    work."""
     parse_cap(cap)
-    required = task.required_vertices()
     if len(required) > cap:
         raise SolverCapExceeded(
             f"instance too large for {oracle}: {len(required)} required "
@@ -506,13 +509,15 @@ def _solve(graph: EstimateGraph, task: CoverTask, cap: int, oracle: str,
     """`_integer_walk` on a fresh `Distances` of `task.weights`, with the
     Fraction epilogue of the two oracles, which differ only in
     `order_search`."""
-    required = _required(task, cap, oracle)
+    required = _required(task.required_vertices(), cap, oracle)
     distances = Distances(graph, task.weights)
     vertices, total = _integer_walk(distances, required, task.origin,
                                     task.destination, order_search)
     walk = walk_of_vertices(graph, vertices, task.weights)
     cost = Fraction(total, distances.denom)
-    assert walk.cost == cost
+    if walk.cost != cost:
+        raise InvariantViolation(f"walk costs {walk.cost}, closure claims "
+                                 f"{cost}")
     return walk, cost
 
 
@@ -536,30 +541,22 @@ def pessimistic_weights(graph: EstimateGraph,
             for eid, e in enumerate(graph.edges)}
 
 
-def worst_case_cover_walk(view: "KnowledgeView", *,
-                          cap: int = DEFAULT_EXACT_CAP
-                          ) -> tuple[Walk, Fraction]:
-    """Cheapest walk from the view's position through every unvisited
-    vertex to the graph's end, under worst-case pricing."""
-    graph = view.graph
-    weights = pessimistic_weights(graph, view.revealed)
-    task = CoverTask(weights=weights, origin=view.position,
-                     destination=graph.end, must_visit=view.unvisited)
-    return optimal_cover_walk(graph, task, cap=cap)
-
-
 def worst_case_plan(view: "KnowledgeView", distances: Distances,
                     table: SuffixTable, *,
                     cap: int = DEFAULT_EXACT_CAP) -> tuple[list[int], int]:
-    """`worst_case_cover_walk` in integers: the walk's vertices and
-    `distances.denom` times its cost.  `distances` must hold the view's
-    pessimistic weights; `table` keeps a suffix table between calls."""
-    # the task `worst_case_cover_walk` solves, its weights held by `distances`
-    task = CoverTask(weights={}, origin=view.position,
-                     destination=view.graph.end, must_visit=view.unvisited)
-    required = _required(task, cap, "exact oracle")
-    vertices, total = _integer_walk(distances, required, task.origin,
-                                    task.destination, table.order)
-    # the integer counterpart of the oracles' `walk.cost == cost`
-    assert distances.length(vertices) == total
+    """Cheapest walk from the view's position through every unvisited
+    vertex to the graph's end, under worst-case pricing, in integers: its
+    vertices and `distances.denom` times its cost.  `distances` must hold
+    the view's `pessimistic_weights`, so the walk is the one
+    `optimal_cover_walk` finds on them; `table` keeps a suffix table
+    between calls."""
+    end = view.graph.end
+    required = _required(tuple(sorted(view.unvisited | {view.position, end})),
+                         cap, "exact oracle")
+    vertices, total = _integer_walk(distances, required, view.position, end,
+                                    table.order)
+    # the integer counterpart of the oracles' walk cost check
+    if (length := distances.length(vertices)) != total:
+        raise InvariantViolation(f"walk costs {length}, closure claims "
+                                 f"{total}")
     return vertices, total

@@ -26,12 +26,6 @@ def report(num: int, name: str, detail: str = ""):
     print(f"ACCEPTANCE {num} {name}: PASS{suffix}")
 
 
-def full_cover_task(graph, weights):
-    return CoverTask(weights=weights, origin=graph.start,
-                     destination=graph.end,
-                     must_visit=frozenset(range(graph.vertex_count)))
-
-
 def run_views(graph, source, explorer):
     view = start_episode(graph, source)
     while not view.is_complete:
@@ -45,7 +39,7 @@ def test_criterion_1_oracle_soundness():
         n = 2 + seed % 8  # vertex counts 2..9
         graph, assignment = random_instance(n, density=(seed % 5) / 5,
                                             seed=seed)
-        task = full_cover_task(graph, assignment.weights)
+        task = CoverTask.full_cover(graph, assignment.weights)
         _, exact = optimal_cover_walk(graph, task)
         _, brute = brute_force_cover(graph, task)
         assert exact == brute, f"seed {seed}: {exact} != {brute}"
@@ -145,8 +139,8 @@ def test_criterion_5_recursive_family_bounds():
                 assert cert.cost == cert_formula, (alpha, depth, name)
                 # the exact oracle confirms the certificate is optimal
                 _, opt = optimal_cover_walk(
-                    bundle.graph, full_cover_task(bundle.graph,
-                                                  assignment.weights))
+                    bundle.graph, CoverTask.full_cover(bundle.graph,
+                                                       assignment.weights))
                 assert opt == cert_formula, (alpha, depth, name)
                 checked.append((alpha, depth, name))
     elapsed = time.time() - started
@@ -171,8 +165,8 @@ def test_criterion_6_grid_trap_self_checks():
                 # (a) the replanning explorer pays exactly (m*m-1)*alpha
                 assert bundle.expected_online == (m * m - 1) * alpha
                 _, opt = optimal_cover_walk(
-                    bundle.graph,
-                    full_cover_task(bundle.graph, bundle.assignment.weights))
+                    bundle.graph, CoverTask.full_cover(
+                        bundle.graph, bundle.assignment.weights))
                 offline = min(opt, bundle.certificate.cost)
                 verified[alpha][m] = bundle.expected_online / offline
             else:
@@ -321,7 +315,7 @@ def test_criterion_9_online_floors_hold_for_every_deterministic_strategy():
                 key = tuple(weights[eid] for eid in range(len(graph.edges)))
                 if key not in offline:
                     offline[key] = optimal_cover_walk(
-                        graph, full_cover_task(graph, weights))[1]
+                        graph, CoverTask.full_cover(graph, weights))[1]
                 leaves.append((view.paid, view.paid / offline[key]))
             adaptive = run_episode(graph, source, make_explorer("adaptive"))
             assert len(leaves) == orders, (name, alpha, len(leaves))

@@ -23,6 +23,12 @@ from boundwalk.graph import MAX_VERTICES, Distances, Walk, walk_of_vertices
 from boundwalk.instance_io import instance_to_dict
 
 
+def uniform(graph):
+    """Whether every interval of `graph` is [1, alpha], alpha its spread."""
+    alpha = alpha_of(graph).alpha
+    return all(e.lower == 1 and e.upper == alpha for e in graph.edges)
+
+
 def count_vertices_edges(k, depth):
     """Independent recursive counter for the construction's size."""
     if depth == 0:
@@ -281,7 +287,7 @@ class TestGridTrap:
             assert bundle.expected_online == 15 * alpha
             assert bundle.certificate.cost <= bundle.certificate_bound
             assert validate(bundle.graph) == []
-            assert alpha_of(bundle.graph).uniform or alpha == 1
+            assert uniform(bundle.graph) or alpha == 1
 
     def test_large_grid_certificate_checked_simulation_excluded(self):
         bundle = build_grid_trap(GridSpec(6, F(3, 2)))
@@ -381,9 +387,8 @@ class TestRandomInstances:
 
     def test_uniform_law_sets_profile_flag(self):
         graph, _ = random_instance(6, law="uniform", alpha=F(3, 2), seed=1)
-        profile = alpha_of(graph)
-        assert profile.uniform
-        assert profile.alpha == F(3, 2)
+        assert uniform(graph)
+        assert alpha_of(graph).alpha == F(3, 2)
 
     def test_instances_are_valid_with_contained_actuals(self):
         for seed in range(15):

@@ -78,17 +78,17 @@ class TestAlphaProfile:
     def test_uniform_intervals(self):
         g = EstimateGraph(3, [Edge(0, 1, F(1), F(2)), Edge(1, 2, F(1), F(2))],
                           0, 2)
-        assert alpha_of(g) == AlphaProfile(F(2), True)
+        assert alpha_of(g) == AlphaProfile(F(2))
 
     def test_max_of_ratios(self):
         g = EstimateGraph(3, [Edge(0, 1, F(1), F(1)), Edge(1, 2, F(2), F(3))],
                           0, 2)
-        assert alpha_of(g) == AlphaProfile(F(3, 2), False)
+        assert alpha_of(g) == AlphaProfile(F(3, 2))
 
     def test_uniform_needs_every_interval_equal(self):
         g = EstimateGraph(3, [Edge(0, 1, F(1), F(3, 2)),
                               Edge(1, 2, F(1), F(2))], 0, 2)
-        assert alpha_of(g) == AlphaProfile(F(2), False)
+        assert alpha_of(g) == AlphaProfile(F(2))
 
 
     @settings(max_examples=40, deadline=None)

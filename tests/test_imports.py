@@ -99,3 +99,47 @@ def test_assigned_names_are_top_level_and_not_dunders():
                      "__all__ = []\ndef f():\n    F = 6\n")
     assert [name for name, _ in assigned_names(tree)] == list("ABCDE")
     assert read_names(ast.parse("A = 1\nB = A")) == {"A"}
+
+
+# the benchmark's fixed surface: a name it reads is production's too
+BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+
+
+def public_definitions(tree):
+    """(name, line) for every public function or class a module defines
+    at its top level."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node.lineno
+
+
+def reads(tree):
+    """Every name the module loads and every attribute it reads; a name
+    in a docstring or a string is no read."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(tree)
+            if isinstance(sub, (ast.Name, ast.Attribute))
+            and isinstance(sub.ctx, ast.Load)}
+
+
+def test_every_public_definition_is_read_outside_tests():
+    """A public function or class of the package is read by a package
+    module (the `__init__` re-exports aside) or by `bench/`; one that
+    only tests read lives in `tests/`."""
+    assert BENCH, "bench/ not found beside tests/"
+    read = set().union(*(reads(ast.parse(p.read_text(encoding="utf-8")))
+                         for p in MODULES + BENCH))
+    unread = [f"{path.stem}.{name} (line {line})" for path in MODULES
+              for name, line in public_definitions(
+                  ast.parse(path.read_text(encoding="utf-8")))
+              if name not in read]
+    assert unread == [], f"only tests read {unread}"
+
+
+def test_public_definitions_and_their_reads():
+    tree = ast.parse("def f():\n    '''g'''\nclass C:\n    def h(self): pass\n"
+                     "def _p(): pass\nx = 'g'\ny = m.k\nm.s = 1\n")
+    assert [name for name, _ in public_definitions(tree)] == ["f", "C"]
+    assert reads(tree) == {"m", "k"}

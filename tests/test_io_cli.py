@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from boundwalk import Edge, EstimateGraph, cli, random_instance
+from boundwalk import Edge, EstimateGraph, cli, random_instance, solver
 from boundwalk.adversaries import FAMILIES
 from boundwalk.cli import main
 from boundwalk.engine import EngineError
@@ -60,6 +60,12 @@ class TestInstanceFormat:
         assert parse_fraction("1.75") == F(7, 4)
         with pytest.raises(ValueError):
             parse_fraction("x")
+        # Fraction would raise ten to the exponent, however large
+        for text in ("1e3", "2E+1", "1.5e-2", "1e-9999999999"):
+            with pytest.raises(ValueError) as refused:
+                parse_fraction(text)
+            assert str(refused.value) == (f"exponent notation is not "
+                                          f"accepted: '{text}'")
 
     @pytest.mark.parametrize("family", sorted(GENERATE_CASES))
     def test_adversary_config_round_trip(self, family, tmp_path, capsys):
@@ -218,6 +224,9 @@ class TestCli:
         ({"edges": [{"a": 0, "b": 1, "lower": "1", "upper": "1/0",
                      "actual": "1"}]},
          "edge 0: bad field 'upper'"),
+        ({"edges": [{"a": 0, "b": 1, "lower": "1", "upper": "1e-9999999999",
+                     "actual": "1"}]},
+         "edge 0: bad field 'upper': exponent notation is not accepted"),
         ({"edges": 5}, "bad field 'edges'"),
         ({"edges": [{"a": 0, "b": 1, "lower": "1", "upper": "2",
                      "actual": "1"},
@@ -260,7 +269,7 @@ class TestCli:
                     {"a": 1, "b": 2, "lower": "1", "upper": "2",
                      "actual": "1"}]},
          "edge 0: expected an object, got [0, 1, '1', '2', '1']"),
-    ], ids=["upper-1/0", "edges-not-a-list", "actual-above-upper",
+    ], ids=["upper-1/0", "upper-exponent", "edges-not-a-list", "actual-above-upper",
             "actual-zero", "t-float", "n-bool", "b-float", "lower-bool",
             "actual-bool", "edge-key-typo", "extra-key", "edge-not-object"])
     def test_malformed_instance_fields_exit_1(self, fields, message,
@@ -422,6 +431,30 @@ class TestCli:
         monkeypatch.setattr(cli, "run_episode", failing(KeyError("slot")))
         with pytest.raises(KeyError):
             main(argv)
+        # a table that reads every cell one too high breaks the solver's
+        # reconstruction invariant: exit 3 with its message, no traceback
+        table = solver._suffix_table
+
+        def one_too_high(*args):
+            column = table(*args)
+            return lambda mask: [c + 1 for c in column(mask)]
+
+        monkeypatch.setattr(solver, "_suffix_table", one_too_high)
+        assert main(["oracle", str(inst)]) == 3
+        claimed, costs = re.fullmatch(
+            r"internal invariant violation: table claims (\d+), order "
+            r"costs (\d+)\n", capsys.readouterr().err).groups()
+        assert int(claimed) == int(costs) + 1
+
+    def test_exponent_alpha_exits_1(self, tmp_path, capsys):
+        # refused before Fraction would raise ten to the 99999999th power
+        out = tmp_path / "g.json"
+        assert main(["generate", "random", "--n", "5", "--alpha",
+                     "1e99999999", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad parameter 'alpha': exponent notation is not "
+            "accepted: '1e99999999'\n")
+        assert not out.exists()
 
     def test_missing_required_flag(self, tmp_path, capsys):
         assert main(["generate", "grid", "--out",

@@ -12,8 +12,9 @@ from boundwalk import (AdaptiveExplorer, CoverTask, Distances,
                        complete_graph, make_explorer, move,
                        optimal_cover_walk, pessimistic_weights,
                        random_instance, start_episode, walk_violations,
-                       solver, worst_case_cover_walk)
+                       solver)
 from boundwalk.graph import WeightAssignment
+from references import worst_case_cover_walk
 
 instances = st.builds(
     lambda n, seed, density: random_instance(n, density=density, seed=seed),
@@ -87,9 +88,7 @@ def test_closure_expansion_resums_exactly(instance):
 @given(instances)
 def test_exact_solver_agrees_with_brute_force(instance):
     graph, assignment = instance
-    task = CoverTask(weights=assignment.weights, origin=graph.start,
-                     destination=graph.end,
-                     must_visit=frozenset(range(graph.vertex_count)))
+    task = CoverTask.full_cover(graph, assignment.weights)
     walk, cost = optimal_cover_walk(graph, task)
     bwalk, bcost = brute_force_cover(graph, task)
     assert cost == bcost

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import itertools
 import json
 import multiprocessing
@@ -19,8 +21,13 @@ from boundwalk.cli import main
 from boundwalk.engine import run_episode
 from boundwalk.explorers import make_explorer
 from boundwalk.reports import (CSV_COLUMNS, MAX_JOBS, SweepConfig,
-                               rows_from_csv, rows_to_csv, rows_to_json,
-                               run_sweep, write_reports)
+                               rows_to_csv, rows_to_json, run_sweep,
+                               write_reports)
+
+
+def rows_from_csv(text):
+    """The rows of a CSV report, as `rows_to_csv` was given them."""
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 @pytest.fixture(autouse=True)

@@ -10,33 +10,28 @@ from boundwalk import (AdaptiveExplorer, CoverTask, Distances, Edge,
                        EstimateGraph, SolverCapExceeded, brute_force_cover,
                        complete_graph, optimal_cover_walk,
                        pessimistic_weights, random_instance, solver,
-                       walk_violations, worst_case_cover_walk)
+                       walk_violations)
 from boundwalk.engine import start_episode, move, FixedAssignment
 from boundwalk.graph import WeightAssignment
 from boundwalk.solver import _suffix_table_np, _suffix_table_py
-
-
-def cover_all(graph, weights):
-    return CoverTask(weights=weights, origin=graph.start,
-                     destination=graph.end,
-                     must_visit=frozenset(range(graph.vertex_count)))
+from references import worst_case_cover_walk
 
 
 def test_unique_hamiltonian_path():
     g = EstimateGraph(3, [Edge(0, 1, F(1), F(1)), Edge(1, 2, F(1), F(1))],
                       0, 2)
     w = {0: F(1), 1: F(1)}
-    walk, cost = optimal_cover_walk(g, cover_all(g, w))
+    walk, cost = optimal_cover_walk(g, CoverTask.full_cover(g, w))
     assert walk.vertices == (0, 1, 2)
     assert cost == F(2)
-    bwalk, bcost = brute_force_cover(g, cover_all(g, w))
+    bwalk, bcost = brute_force_cover(g, CoverTask.full_cover(g, w))
     assert (bwalk.vertices, bcost) == (walk.vertices, cost)
 
 
 def test_complete_graph_unit_weights():
     g = complete_graph(4, F(1))
     w = {eid: F(1) for eid in range(len(g.edges))}
-    _, cost = optimal_cover_walk(g, cover_all(g, w))
+    _, cost = optimal_cover_walk(g, CoverTask.full_cover(g, w))
     assert cost == F(3)
 
 
@@ -47,9 +42,9 @@ def test_half_split_realized_weights_alternating_optimum():
     g = complete_graph(8, F(2))
     w = {eid: F(1) if e.a < 4 or e.b < 4 else F(2)
          for eid, e in enumerate(g.edges)}
-    walk, cost = optimal_cover_walk(g, cover_all(g, w))
+    walk, cost = optimal_cover_walk(g, CoverTask.full_cover(g, w))
     assert cost == F(7)
-    _, bcost = brute_force_cover(g, cover_all(g, w))
+    _, bcost = brute_force_cover(g, CoverTask.full_cover(g, w))
     assert bcost == F(7)
     # every step of the optimum touches a cheap vertex
     assert all(a < 4 or b < 4 for a, b in zip(walk.vertices, walk.vertices[1:]))
@@ -60,7 +55,7 @@ def test_four_cycle_brute_force_avoids_heavy_edge():
              Edge(2, 3, F(1), F(1)), Edge(0, 3, F(5), F(5))]
     g = EstimateGraph(4, edges, 0, 3)
     w = {0: F(1), 1: F(1), 2: F(1), 3: F(5)}
-    walk, cost = brute_force_cover(g, cover_all(g, w))
+    walk, cost = brute_force_cover(g, CoverTask.full_cover(g, w))
     assert cost == F(3)
     assert walk.vertices == (0, 1, 2, 3)
 
@@ -101,9 +96,9 @@ def test_cap_exceeded_is_loud():
     g = complete_graph(12, F(2))
     w = {eid: F(1) for eid in range(len(g.edges))}
     with pytest.raises(SolverCapExceeded):
-        optimal_cover_walk(g, cover_all(g, w), cap=10)
+        optimal_cover_walk(g, CoverTask.full_cover(g, w), cap=10)
     with pytest.raises(SolverCapExceeded):
-        brute_force_cover(g, cover_all(g, w))
+        brute_force_cover(g, CoverTask.full_cover(g, w))
 
 
 def test_cap_above_memory_limit_refused():
@@ -111,13 +106,13 @@ def test_cap_above_memory_limit_refused():
     # refused, before any work, as a ValueError and not SolverCapExceeded
     g = complete_graph(3, F(2))
     w = {eid: F(1) for eid in range(len(g.edges))}
-    assert optimal_cover_walk(g, cover_all(g, w),
+    assert optimal_cover_walk(g, CoverTask.full_cover(g, w),
                               cap=solver.MAX_EXACT_CAP)[1] == 2
     for cap in (solver.MAX_EXACT_CAP + 1, 40, 10**9, 0, -3):
         with pytest.raises(ValueError, match="limit of 22"):
-            optimal_cover_walk(g, cover_all(g, w), cap=cap)
+            optimal_cover_walk(g, CoverTask.full_cover(g, w), cap=cap)
         with pytest.raises(ValueError, match="limit of 22"):
-            brute_force_cover(g, cover_all(g, w), cap=cap)
+            brute_force_cover(g, CoverTask.full_cover(g, w), cap=cap)
     # the same rule types a cap from a config or a flag
     for cap in (2.5, True, ["3"]):
         with pytest.raises(ValueError, match="expected an integer"):
@@ -132,7 +127,7 @@ def test_oracle_equivalence_random_instances():
     cases += [(10, seed) for seed in range(6)]
     for n, seed in cases:
         graph, assignment = random_instance(n, density=0.4, seed=seed)
-        task = cover_all(graph, assignment.weights)
+        task = CoverTask.full_cover(graph, assignment.weights)
         walk, cost = optimal_cover_walk(graph, task)
         bwalk, bcost = brute_force_cover(graph, task)
         assert cost == bcost, f"n {n} seed {seed}"
@@ -161,7 +156,7 @@ def _int64_closure():
     primes = (997, 991, 983)
     g = complete_graph(10, F(2))
     w = {eid: 1 + F(eid, primes[eid % 3]) for eid in range(len(g.edges))}
-    task = cover_all(g, w)
+    task = CoverTask.full_cover(g, w)
     D = Distances(g, w).among(task.required_vertices())
     reach = max(map(max, D)) * (len(D) + 1)
     assert solver._INT32_LIMIT <= reach < solver._INT64_LIMIT
@@ -265,7 +260,7 @@ def _complete_near(r, top, ties, seed):
     (10, 1489, np.int16), (10, 1490, np.int32)])
 def test_int16_tier_boundary(monkeypatch, r, top, dtype):
     g, w = _complete_near(r, top, ties=4, seed=r + top)
-    task = cover_all(g, w)
+    task = CoverTask.full_cover(g, w)
     D = Distances(g, w).among(task.required_vertices())
     assert max(map(max, D)) == top
     interior = list(range(1, r - 1))
@@ -293,7 +288,7 @@ def test_int16_tier_boundary(monkeypatch, r, top, dtype):
 def test_dp_matches_brute_force_near_the_int16_limit(r, reach, ties, seed):
     # max entry * (r + 1) on both sides of _INT16_LIMIT
     g, w = _complete_near(r, reach // (r + 1), ties, seed)
-    task = cover_all(g, w)
+    task = CoverTask.full_cover(g, w)
     walk, cost = optimal_cover_walk(g, task)
     bwalk, bcost = brute_force_cover(g, task)
     assert (walk.vertices, cost) == (bwalk.vertices, bcost)
@@ -439,7 +434,7 @@ def test_corrupted_table_cell_fails_the_solve(monkeypatch):
     rng = random.Random(9)
     g = complete_graph(9, F(2))
     w = {eid: F(rng.randint(4, 7), 4) for eid in range(len(g.edges))}
-    task = cover_all(g, w)
+    task = CoverTask.full_cover(g, w)
     walk, _ = optimal_cover_walk(g, task)
     first = walk.vertices[1] - 1  # the interior's bit of the first step
     np_kernel = solver._suffix_table_np
@@ -462,7 +457,7 @@ def _guard_case(r, past):
     q = 1 << 47 if past else 1 << 20
     g = complete_graph(r, F(2))
     w = {eid: 1 + F(eid + 1, q) for eid in range(len(g.edges))}
-    task = cover_all(g, w)
+    task = CoverTask.full_cover(g, w)
     D = Distances(g, w).among(task.required_vertices())
     assert (max(map(max, D)) * (len(D) + 1) >= solver._INT64_LIMIT) == past
     return g, w, task
@@ -496,15 +491,15 @@ def test_lexicographic_tie_breaking():
     # pick the identity order
     g = complete_graph(5, F(1), start=0, end=4)
     w = {eid: F(1) for eid in range(len(g.edges))}
-    walk, _ = optimal_cover_walk(g, cover_all(g, w))
-    bwalk, _ = brute_force_cover(g, cover_all(g, w))
+    walk, _ = optimal_cover_walk(g, CoverTask.full_cover(g, w))
+    bwalk, _ = brute_force_cover(g, CoverTask.full_cover(g, w))
     assert walk.vertices == bwalk.vertices == (0, 1, 2, 3, 4)
 
 
 def test_raising_one_weight_never_lowers_cost():
     for seed in range(8):
         graph, assignment = random_instance(6, density=0.5, seed=seed)
-        task = cover_all(graph, assignment.weights)
+        task = CoverTask.full_cover(graph, assignment.weights)
         _, base = optimal_cover_walk(graph, task)
         for eid in range(len(graph.edges)):
             bumped = dict(assignment.weights)
