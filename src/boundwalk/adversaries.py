@@ -12,6 +12,8 @@ announced interval.
 from __future__ import annotations
 
 import random
+import re
+import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -482,10 +484,20 @@ def _grid_certificate(graph: EstimateGraph, assignment: WeightAssignment,
 def parse_fraction(text: str | int | Fraction) -> Fraction:
     """Accept "p/q", integer, or exact decimal strings like "1.5", or a
     Fraction; floats are refused as inexact, booleans as not numbers, and
-    exponent notation such as "1e3" because `Fraction` raises ten to its
-    exponent with no size limit."""
-    if isinstance(text, str) and "e" in text.lower():
-        raise ValueError(f"exponent notation is not accepted: {text!r}")
+    exponent notation such as "1e3" and strings of more digits than an
+    `int` parses by default, since `Fraction` raises ten to the exponent
+    or to a decimal's digit count with no size limit."""
+    if isinstance(text, str):
+        if "e" in text.lower():
+            raise ValueError(f"exponent notation is not accepted: {text!r}")
+        limit = sys.int_info.default_max_str_digits
+        if len(text) > limit:  # no shorter string holds more digits
+            digits = 0
+            for run in re.finditer(rf"\d{{1,{limit + 1}}}", text):
+                digits += len(run[0])
+                if digits > limit:
+                    raise ValueError(f"{text[:20]!r}... has more digits "
+                                     f"than the {limit} an int parses")
     if (isinstance(text, (int, str, Fraction))
             and not isinstance(text, bool)):
         return Fraction(text)

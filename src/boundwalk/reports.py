@@ -49,6 +49,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
@@ -63,6 +64,8 @@ from .solver import DEFAULT_EXACT_CAP, parse_cap
 
 # one worker process per job: a bound, not a default
 MAX_JOBS = 64
+# grid points x seeds x explorers of one config, counted before any point
+MAX_ROWS = 100_000
 
 # every family parameter is a column, empty where a row's grid lacks it
 CSV_COLUMNS = ("family", *PARAMETERS, "seed", "explorer", "online_cost",
@@ -104,6 +107,12 @@ class SweepConfig:
         if not 1 <= config.jobs <= MAX_JOBS:
             raise ValueError(f"bad field 'jobs': {config.jobs} is outside "
                              f"1..{MAX_JOBS}")
+        rows = (math.prod(map(len, grid.values())) * len(config.seeds)
+                * len(config.explorers))
+        if rows > MAX_ROWS:
+            raise ValueError(f"bad field 'grid': {rows} rows exceed the "
+                             f"limit of {MAX_ROWS} (grid points x seeds x "
+                             f"explorers)")
         try:
             for params in _grid_points(config):
                 FAMILIES[family].parse(params)  # a bad point fails the config

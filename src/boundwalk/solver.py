@@ -27,9 +27,8 @@ failed check raises `InvariantViolation`.  The oracles build a fresh
 (the replanning explorers keep one per episode).  `parse_cap` refuses a
 cap outside 1..MAX_EXACT_CAP before any work, so no numpy table exceeds
 20 * 2**19 cells.
-The closure's width alone picks the kernel, at any interior: numpy while
-max entry * (r + 1) < 2**48, plain Python on unbounded integers past it.
-Both implement the same recurrence and hand the reconstruction the same
+One kernel builds every table, at any interior, in the dtype the
+closure's width picks (below), and hands the reconstruction a
 `column(mask) -> per-vertex costs` accessor.  Reading a table checks it:
 the cost it gives at the first step must be the cost of the order it
 leads to (the Held-Karp reconstruction invariant), which a stale or
@@ -43,16 +42,17 @@ move a table still serves the remaining vertices, under its old bit
 numbering, until a reveal changes an integer distance among them: an
 episode builds a table only when that happens.
 
-The numpy table is layered by popcount and stores set cells only: layer
+The table is layered by popcount and stores set cells only: layer
 p is an (m, C(m - 1, p - 1)) array whose row i holds the cells (S, i) of
 the p-element masks S holding i, in increasing order of S, so a table
 holds m * 2**(m - 1) cells.  Its dtype is the narrowest the closure
 allows: int16 when max entry * (r + 1) < 2**14, int32 below 2**30, int64
-below 2**48; beyond that the Python kernel takes over.  Each layer is one
-min-plus step over a dense scratch copy of the layer below, (m, C(m,
-p - 1)) with the masks in increasing order as columns, whose cells
-outside their mask are unset: half the dtype's maximum, above every
-table value, so an unset cell plus any entry does not overflow.  y[i, S]
+below 2**48, and beyond, as `graph.Distances` widens, numpy `object`
+arrays of Python integers.  Each layer is one min-plus step over a
+dense scratch copy of the layer below, (m, C(m, p - 1)) with the masks in
+increasing order as columns, whose cells outside their mask are unset:
+max entry * (r + 1) in every dtype, above every table value, so an unset
+cell plus any entry stays under the dtype's limit.  y[i, S]
 = min over every row j of prev[j, S] + D[j, i], one broadcast add and one
 min over the rows, for every column S.  Row i of layer p is y[i] at the
 columns lacking i, in order (dropping bit i keeps mask order); the other
@@ -69,14 +69,14 @@ one dense scratch layer, those masks and block-sized temporaries.
 A read takes a mask's cells at its own bits: cell (S, j) lies in row j,
 at the column of S minus bit j once the bits above j move down one
 place, i.e. that mask's rank among the masks over m - 1 bits of its
-popcount.  Cells are read as stored (the Python kernel's unset ones are
-None), and only a mask's own bits are read.  A read's indices are colex
-ranks from a Pascal table, computed by `_cell_reader` alone.  Up to
-interior 12 the per-layer bit masks are cached, and each mask's indices
-are kept in an int16 row table of 2**m * m as the mask is first read, so
-a read repeated is one `take`; every cached size together holds 0.35
-MiB.  Past interior 12 nothing is kept, so after a build the solver
-holds the table's cells and nothing else of their order of size.
+popcount.  Cells are read as stored, and only a mask's own bits are
+read.  A read's indices are colex ranks from a Pascal table, computed by
+`_cell_reader` alone.  Up to interior 12 the per-layer bit masks are
+cached, and each mask's indices are kept in an int16 row table of 2**m *
+m as the mask is first read, so a read repeated is one `take`; every
+cached size together holds 0.35 MiB.  Past interior 12 nothing is kept,
+so after a build the solver holds the table's cells and nothing else of
+their order of size.
 """
 from __future__ import annotations
 
@@ -84,7 +84,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, inf
+from math import comb
 from operator import itemgetter
 from typing import (Callable, Iterable, Iterator, Mapping, Sequence,
                     TYPE_CHECKING)
@@ -110,8 +110,8 @@ _PLAN_CACHE_MAX = 12
 # cells of one min-plus broadcast, unless a single row of m cells is more:
 # a layer's target rows are split first, then its columns
 _BLOCK_CELLS = 1 << 17
-# max entry * (r + 1) below these bounds every table value, and an unset
-# cell (half the dtype's max) plus any entry stays clear of overflow
+# max entry * (r + 1), the unset cell, exceeds every table value; below
+# one of these it plus any entry stays under twice the bound, in its dtype
 _INT16_LIMIT = 1 << 14
 _INT32_LIMIT = 1 << 30
 _INT64_LIMIT = 1 << 48
@@ -141,32 +141,6 @@ class CoverTask:
 
     def required_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.must_visit | {self.origin, self.destination}))
-
-
-def _suffix_table_py(D: list[list[int]], dest_i: int,
-                     interior: list[int]) -> Callable[[int], list[int]]:
-    m = len(interior)
-    size = 1 << m
-    g = [[None] * m for _ in range(size)]
-    for j in range(m):
-        g[1 << j][j] = D[dest_i][interior[j]]
-    for mask in range(1, size):
-        row = g[mask]
-        bits = [j for j in range(m) if mask >> j & 1]
-        if len(bits) < 2:
-            continue
-        for i in bits:
-            prev = g[mask ^ (1 << i)]
-            di = interior[i]
-            best = inf
-            for j in bits:
-                if j == i:
-                    continue
-                c = prev[j] + D[interior[j]][di]
-                if c < best:
-                    best = c
-            row[i] = best
-    return g.__getitem__
 
 
 def _mask_layers(m: int) -> Iterator[np.ndarray]:
@@ -300,7 +274,7 @@ def _min_plus(prev: np.ndarray, DU: np.ndarray) -> np.ndarray:
 def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
                      dtype: type) -> Callable[[int], list[int]]:
     m = len(interior)
-    unset = int(np.iinfo(dtype).max) // 2
+    unset = max(map(max, D)) * (len(D) + 1)
     DU = np.array([[D[a][b] for b in interior] for a in interior],
                   dtype=dtype)
     cells, steps = _plan(m)
@@ -341,15 +315,14 @@ def _suffix_table_np(D: list[list[int]], dest_i: int, interior: list[int],
 
 def _suffix_table(D: list[list[int]], dest_i: int, interior: list[int]
                   ) -> Callable[[int], list[int]]:
-    """The suffix table of `interior` toward dest_i, chosen by width: the
-    numpy kernel in the narrowest dtype whose limit exceeds max entry *
-    (r + 1), the Python kernel past _INT64_LIMIT."""
-    reach = max(max(row) for row in D) * (len(D) + 1)
-    if reach < _INT64_LIMIT:
-        dtype = (np.int16 if reach < _INT16_LIMIT
-                 else np.int32 if reach < _INT32_LIMIT else np.int64)
-        return _suffix_table_np(D, dest_i, interior, dtype)
-    return _suffix_table_py(D, dest_i, interior)
+    """The suffix table of `interior` toward dest_i, in the narrowest
+    dtype whose limit exceeds max entry * (r + 1), `object` past
+    _INT64_LIMIT."""
+    reach = max(map(max, D)) * (len(D) + 1)
+    dtype = (np.int16 if reach < _INT16_LIMIT
+             else np.int32 if reach < _INT32_LIMIT
+             else np.int64 if reach < _INT64_LIMIT else object)
+    return _suffix_table_np(D, dest_i, interior, dtype)
 
 
 def _reconstruct(D: list[list[int]], origin_i: int, dest_i: int,

@@ -1,5 +1,12 @@
-"""Fraction references that only tests read: each recomputes in rationals
-what the package computes another way, so a test can compare the two."""
+"""References that only tests read: each recomputes what the package
+computes another way, so a test can compare the two.  The worst-case walk
+is recomputed in rationals; the subset-DP suffix table by the plain Held-Karp
+recurrence over Python integers, one list of cells per mask, unset cells
+None, against which tests check the numpy kernel cell by cell at every
+dtype."""
+from math import inf
+from typing import Callable
+
 from boundwalk import CoverTask, optimal_cover_walk, pessimistic_weights
 
 
@@ -13,3 +20,29 @@ def worst_case_cover_walk(view):
                      origin=view.position, destination=graph.end,
                      must_visit=view.unvisited)
     return optimal_cover_walk(graph, task)
+
+
+def _suffix_table_py(D: list[list[int]], dest_i: int,
+                     interior: list[int]) -> Callable[[int], list[int]]:
+    m = len(interior)
+    size = 1 << m
+    g = [[None] * m for _ in range(size)]
+    for j in range(m):
+        g[1 << j][j] = D[dest_i][interior[j]]
+    for mask in range(1, size):
+        row = g[mask]
+        bits = [j for j in range(m) if mask >> j & 1]
+        if len(bits) < 2:
+            continue
+        for i in bits:
+            prev = g[mask ^ (1 << i)]
+            di = interior[i]
+            best = inf
+            for j in bits:
+                if j == i:
+                    continue
+                c = prev[j] + D[interior[j]][di]
+                if c < best:
+                    best = c
+            row[i] = best
+    return g.__getitem__

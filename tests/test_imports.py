@@ -1,8 +1,9 @@
-"""Every name a `boundwalk` module imports is used in that module, and
-every name a module assigns at its top level is read somewhere in the
-package, so a deletion cannot leave a dead import or constant behind.  The
-package `__init__` is left out of the import check: its imports are the
-public names it re-exports."""
+"""Every name a `boundwalk` module imports is used in that module, every
+name a module assigns at its top level is read somewhere in the package,
+and every function or class it defines at its top level is read outside
+tests, so a deletion cannot leave a dead import, constant or definition
+behind.  The package `__init__` is left out of the import check: its
+imports are the public names it re-exports."""
 import ast
 from pathlib import Path
 
@@ -105,13 +106,12 @@ def test_assigned_names_are_top_level_and_not_dunders():
 BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
 
 
-def public_definitions(tree):
-    """(name, line) for every public function or class a module defines
-    at its top level."""
+def definitions(tree):
+    """(name, line) for every function or class a module defines at its
+    top level, public or private."""
     for node in tree.body:
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.ClassDef))
-                and not node.name.startswith("_")):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
             yield node.name, node.lineno
 
 
@@ -125,14 +125,14 @@ def reads(tree):
 
 
 def test_every_public_definition_is_read_outside_tests():
-    """A public function or class of the package is read by a package
-    module (the `__init__` re-exports aside) or by `bench/`; one that
-    only tests read lives in `tests/`."""
+    """A top-level function or class of the package, public or private,
+    is read by a package module (the `__init__` re-exports aside) or by
+    `bench/`; one that only tests read lives in `tests/`."""
     assert BENCH, "bench/ not found beside tests/"
     read = set().union(*(reads(ast.parse(p.read_text(encoding="utf-8")))
                          for p in MODULES + BENCH))
     unread = [f"{path.stem}.{name} (line {line})" for path in MODULES
-              for name, line in public_definitions(
+              for name, line in definitions(
                   ast.parse(path.read_text(encoding="utf-8")))
               if name not in read]
     assert unread == [], f"only tests read {unread}"
@@ -141,5 +141,5 @@ def test_every_public_definition_is_read_outside_tests():
 def test_public_definitions_and_their_reads():
     tree = ast.parse("def f():\n    '''g'''\nclass C:\n    def h(self): pass\n"
                      "def _p(): pass\nx = 'g'\ny = m.k\nm.s = 1\n")
-    assert [name for name, _ in public_definitions(tree)] == ["f", "C"]
+    assert [name for name, _ in definitions(tree)] == ["f", "C", "_p"]
     assert reads(tree) == {"m", "k"}

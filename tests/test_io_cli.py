@@ -1,5 +1,6 @@
 import json
 import re
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -66,6 +67,25 @@ class TestInstanceFormat:
                 parse_fraction(text)
             assert str(refused.value) == (f"exponent notation is not "
                                           f"accepted: '{text}'")
+
+    def test_parse_fraction_refuses_more_digits_than_an_int_parses(self):
+        # Fraction would raise ten to a decimal's digit count first: about
+        # 11 s for this one
+        text = "1." + "0" * 10**7
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as refused:
+            parse_fraction(text)
+        assert time.perf_counter() - start < 0.1
+        assert str(refused.value) == (f"{text[:20]!r}... has more digits "
+                                      f"than the 4300 an int parses")
+        # the limit counts every digit, non-ASCII ones as Fraction reads
+        # them, and nothing else
+        assert parse_fraction("1" * 4300) == int("1" * 4300)
+        assert parse_fraction(f" {'1' * 4299}.5 ") == F(int("1" * 4299 + "5"),
+                                                        10)
+        for text in ("1" * 4301, "1/" + "1" * 4300, "\u0661" * 4301):
+            with pytest.raises(ValueError, match="more digits than"):
+                parse_fraction(text)
 
     @pytest.mark.parametrize("family", sorted(GENERATE_CASES))
     def test_adversary_config_round_trip(self, family, tmp_path, capsys):
@@ -455,6 +475,18 @@ class TestCli:
             "error: bad parameter 'alpha': exponent notation is not "
             "accepted: '1e99999999'\n")
         assert not out.exists()
+
+    def test_validate_refuses_a_weight_of_too_many_digits(self, tmp_path,
+                                                        capsys):
+        instance = {"n": 2, "s": 0, "t": 1, "edges": [
+            {"a": 0, "b": 1, "lower": "1", "upper": "1." + "0" * 10**7}]}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(instance), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and (
+            "edge 0: bad field 'upper': '1.000000000000000000'... has "
+            "more digits than the 4300 an int parses" in err)
 
     def test_missing_required_flag(self, tmp_path, capsys):
         assert main(["generate", "grid", "--out",

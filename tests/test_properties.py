@@ -133,7 +133,7 @@ def test_episode_replay_is_byte_identical(instance):
 
 # denominators of the actual weights: small ones, and primes near 10**5
 # and 10**12, whose reveals rescale the episode's distances (the largest
-# also past int64, into Python integers and the Python kernel)
+# also past int64, into Python integers and the `object` table)
 DENOMINATORS = {"small": (2, 3, 4), "large": (99991, 99989, 99971),
                 "huge": (999999999989, 999999999959)}
 

@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 from pathlib import Path
@@ -20,9 +21,9 @@ from boundwalk.adversaries import FAMILIES
 from boundwalk.cli import main
 from boundwalk.engine import run_episode
 from boundwalk.explorers import make_explorer
-from boundwalk.reports import (CSV_COLUMNS, MAX_JOBS, SweepConfig,
-                               rows_to_csv, rows_to_json, run_sweep,
-                               write_reports)
+from boundwalk.reports import (CSV_COLUMNS, MAX_JOBS, MAX_ROWS,
+                               SweepConfig, rows_to_csv, rows_to_json,
+                               run_sweep, write_reports)
 
 
 def rows_from_csv(text):
@@ -231,6 +232,31 @@ class TestSweep:
                            ({"alpha": [True]}, "alpha")):
             with pytest.raises(ValueError, match=f"parameter '{name}'"):
                 sweep_config(family="random", grid={"n": [5], **grid})
+
+    def test_row_count_is_refused_before_any_grid_point_is_checked(self):
+        # four 1000-value lists are 10**12 rows: counted, not enumerated,
+        # where checking each grid point took about 9 us
+        values = range(5, 1005)
+        grid = {"n": list(values), "alpha": [str(v) for v in values],
+                "density": [v / 1005 for v in values],
+                "law": ["uniform"] * 1000}
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as refused:
+            sweep_config(family="random", grid=grid)
+        assert time.perf_counter() - start < 0.05
+        assert str(refused.value) == (
+            f"bad field 'grid': {10**12} rows exceed the limit of "
+            f"{MAX_ROWS} (grid points x seeds x explorers)")
+        # the limit counts seeds and explorers too, and holds exactly
+        grid = {"k": [3] * 1000, "alpha": ["2"]}
+        assert MAX_ROWS == 1000 * 100
+        assert len(sweep_config(grid=grid, seeds=list(range(100)))
+                   .seeds) == 100
+        for seeds, explorers in ((101, ["nn"]),
+                                 (34, ["nn", "adaptive", "precompute"])):
+            with pytest.raises(ValueError, match="'grid': .* rows exceed"):
+                sweep_config(grid=grid, seeds=list(range(seeds)),
+                             explorers=explorers)
 
     def test_cli_sweep_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"

@@ -13,8 +13,8 @@ from boundwalk import (AdaptiveExplorer, CoverTask, Distances, Edge,
                        walk_violations)
 from boundwalk.engine import start_episode, move, FixedAssignment
 from boundwalk.graph import WeightAssignment
-from boundwalk.solver import _suffix_table_np, _suffix_table_py
-from references import worst_case_cover_walk
+from boundwalk.solver import _suffix_table_np
+from references import _suffix_table_py, worst_case_cover_walk
 
 
 def test_unique_hamiltonian_path():
@@ -165,20 +165,21 @@ def _int64_closure():
 
 def _kernel_cases(seeds, smallest=0):
     """(D, dtype): `seeds` random closures for each interior from
-    `smallest` to _PLAN_CACHE_MAX, each built in int16 and in int32, then
-    the int64 K_10 closure."""
+    `smallest` to _PLAN_CACHE_MAX, each built in int16, in int32 and in
+    `object`, then the int64 K_10 closure in int64 and in `object`."""
     cases = []
     for m in range(smallest, solver._PLAN_CACHE_MAX + 1):
         for seed in range(seeds):
             D = _random_closure(m, seed)
-            cases += [(D, np.int16), (D, np.int32)]
-    return cases + [(_int64_closure()[2], np.int64)]
+            cases += [(D, np.int16), (D, np.int32), (D, object)]
+    D = _int64_closure()[2]
+    return cases + [(D, np.int64), (D, object)]
 
 
 def _same_cells(np_column, py_column, m, masks=None):
     """On `masks` over m bits (every non-empty one by default), the numpy
-    column equals the Python one at the mask's own bits, the only cells
-    either table sets."""
+    column equals the reference one at the mask's own bits, the only
+    cells either table sets."""
     for mask in masks or range(1, 1 << m):
         bits = [j for j in range(m) if mask >> j & 1]
         np_costs, py_costs = np_column(mask), py_column(mask)
@@ -463,24 +464,30 @@ def _guard_case(r, past):
     return g, w, task
 
 
-def test_large_denominators_take_python_kernel(monkeypatch):
-    # the closure's width alone picks the kernel, whatever the interior:
-    # numpy under the int64 guard, Python past it, and both solve as the
-    # brute force does.  An empty interior builds a table too, never read
+def test_large_denominators_take_object_tier(monkeypatch):
+    # the closure's width alone picks the dtype, whatever the interior: a
+    # fixed-width integer under the int64 guard, `object` past it, and
+    # both solve as the brute force does.  An empty interior builds a
+    # table too, never read
     built = []
-    for name in ("_suffix_table_np", "_suffix_table_py"):
-        def counted(*args, kernel=getattr(solver, name), name=name):
-            built.append((name, len(args[2])))
-            return kernel(*args)
+    np_kernel = solver._suffix_table_np
 
-        monkeypatch.setattr(solver, name, counted)
+    def recording(D, dest_i, interior, dtype):
+        column = np_kernel(D, dest_i, interior, dtype)
+        layers = {layer.dtype for layer in _held_layers(column)}
+        built.append((np.dtype(dtype), layers, len(interior)))
+        return column
+
+    monkeypatch.setattr(solver, "_suffix_table_np", recording)
     for interior in (0, 2, 5, 8):
         for past in (False, True):
             g, w, task = _guard_case(interior + 2, past)
             built.clear()
             walk, cost = optimal_cover_walk(g, task)
-            kernel = "_suffix_table_py" if past else "_suffix_table_np"
-            assert built == [(kernel, interior)], (interior, past)
+            [(dtype, layers, size)] = built
+            assert size == interior and layers == {dtype}, (interior, past)
+            assert (dtype == object if past
+                    else np.issubdtype(dtype, np.signedinteger)), dtype
             bwalk, bcost = brute_force_cover(g, task)
             assert (walk.vertices, cost) == (bwalk.vertices, bcost)
             assert walk_violations(g, walk, w) == []
