@@ -27,18 +27,20 @@ on each row's own walk.
 A process keeps one worker pool, so that `boundwalk sweep` given several
 configs (one per family, say) starts its workers once rather than once per
 config; a single sweep starts them once, as it always did.  The pool starts
-at the first sweep with jobs > 1 (importing, loading a config or a jobs = 1
-sweep starts none), and every later sweep with the same `jobs` reuses it; a
-sweep with another `jobs` shuts it down, waiting for its workers, before it
-starts its own.  Workers see the package as it was when the pool started,
-and keep only pure caches from one sweep to the next
-(`solver._cached_plan`, numpy's first-call set-up), so rows do not depend
-on which sweeps ran before.  When a kept pool breaks, the sweep is run
-once more on a fresh pool; tasks are pure, so its rows are the same.  The
-break cannot tell a worker that died between sweeps from a task that
-killed its worker during this one, so such a task runs twice before the
-sweep raises; a fresh pool that breaks raises at once.  The interpreter's
-exit joins the workers of the pool still kept.
+at the first sweep with jobs > 1, and every later sweep with the same
+`jobs` reuses it; a sweep with another `jobs` shuts it down, waiting for
+its workers, before it starts its own.  Importing, loading a config or a
+jobs = 1 sweep starts no pool and loads no pool code: `concurrent.futures`
+and `multiprocessing` are imported by the first sweep that starts a pool.
+Workers see the package as it was when the pool started, and keep only
+pure caches from one sweep to the next (`solver._cached_plan`, numpy's
+first-call set-up), so rows do not depend on which sweeps ran before.
+When a kept pool breaks, the sweep is run once more on a fresh pool; tasks
+are pure, so its rows are the same.  The break cannot tell a worker that
+died between sweeps from a task that killed its worker during this one,
+so such a task runs twice before the sweep raises; a fresh pool that
+breaks raises at once.  The interpreter's exit joins the workers of the
+pool still kept.
 
 CSV and JSON emissions carry identical string-valued rows; rows are sorted
 before emission so identical configs produce identical bytes.
@@ -50,17 +52,18 @@ import io
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TYPE_CHECKING
 
 from .adversaries import FAMILIES, PARAMETERS
 from .engine import run_episode
 from .explorers import EXPLORERS, make_explorer
 from .graph import _read_field, _refuse_unknown, alpha_of, parse_int
 from .solver import DEFAULT_EXACT_CAP, parse_cap
+
+if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
 
 # one worker process per job: a bound, not a default
 MAX_JOBS = 64
@@ -238,6 +241,7 @@ def _worker_pool(jobs: int) -> tuple[ProcessPoolExecutor, bool]:
     if _kept is not None and _kept[0] == jobs:
         return _kept[1], True
     _drop_pool()
+    from concurrent.futures import ProcessPoolExecutor
     _kept = jobs, ProcessPoolExecutor(max_workers=jobs)
     return _kept[1], False
 
@@ -261,6 +265,7 @@ def run_sweep(config: SweepConfig) -> list[dict]:
     work = [(config, params, seed, config.explorers[i::groups])
             for params, seed in points for i in range(groups)]
     if config.jobs > 1:
+        from concurrent.futures.process import BrokenProcessPool
         pool, kept = _worker_pool(config.jobs)
         try:
             tasks = list(pool.map(_run_task, work))

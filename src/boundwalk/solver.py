@@ -26,7 +26,8 @@ failed check raises `InvariantViolation`.  The oracles build a fresh
 `Distances` of the task's weights; `worst_case_plan` takes its caller's
 (the replanning explorers keep one per episode).  `parse_cap` refuses a
 cap outside 1..MAX_EXACT_CAP before any work, so no numpy table exceeds
-20 * 2**19 cells.
+20 * 2**19 cells, and `_suffix_table` refuses a table of more than
+_TABLE_BYTES before its build.
 One kernel builds every table, at any interior, in the dtype the
 closure's width picks (below), and hands the reconstruction a
 `column(mask) -> per-vertex costs` accessor.  Reading a table checks it:
@@ -101,8 +102,12 @@ DEFAULT_EXACT_CAP = 20
 BRUTE_FORCE_CAP = 10
 # the largest cap a solve accepts: its table has at most 20 * 2**19 cells,
 # 20 MiB in int16, 40 MiB in int32 and 80 MiB in int64, and its build
-# peaks at 24.6, 48.5 and 96.4 MiB (tracemalloc)
+# peaks at 24.6, 48.5 and 96.4 MiB (tracemalloc); in `object`, at 48 bytes
+# a cell, it would hold 480 MiB, which _TABLE_BYTES refuses
 MAX_EXACT_CAP = 22
+# the most bytes a suffix table may hold, refused before its build; under
+# the cap only an `object` table at r = 22 exceeds it
+_TABLE_BYTES = 256 << 20
 
 # interiors up to this size keep their kernel bits cached and their read
 # rows as first read
@@ -317,11 +322,23 @@ def _suffix_table(D: list[list[int]], dest_i: int, interior: list[int]
                   ) -> Callable[[int], list[int]]:
     """The suffix table of `interior` toward dest_i, in the narrowest
     dtype whose limit exceeds max entry * (r + 1), `object` past
-    _INT64_LIMIT."""
+    _INT64_LIMIT; SolverCapExceeded, before any of it is allocated, when
+    its m * 2**(m - 1) cells would hold more than _TABLE_BYTES."""
     reach = max(map(max, D)) * (len(D) + 1)
     dtype = (np.int16 if reach < _INT16_LIMIT
              else np.int32 if reach < _INT32_LIMIT
              else np.int64 if reach < _INT64_LIMIT else object)
+    m = len(interior)
+    # an `object` cell holds an 8-byte pointer and its Python integer,
+    # 48 bytes in all (tracemalloc, interior 14)
+    cell = 48 if dtype is object else np.dtype(dtype).itemsize
+    size = (m << m) // 2 * cell
+    if size > _TABLE_BYTES:
+        raise SolverCapExceeded(
+            f"exact oracle table too large: {len(D)} required vertices "
+            f"need {size} bytes ({size / (1 << 20):.0f} MiB) of "
+            f"{np.dtype(dtype).name} cells, over the budget of "
+            f"{_TABLE_BYTES >> 20} MiB")
     return _suffix_table_np(D, dest_i, interior, dtype)
 
 

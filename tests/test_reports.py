@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -488,7 +489,9 @@ class TestWorkerPool:
             exited.append(all(p.exitcode is not None for p in old))
             return ProcessPoolExecutor(max_workers=max_workers)
 
-        monkeypatch.setattr(reports, "ProcessPoolExecutor", starting)
+        # `reports` looks the class up when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            starting)
         assert sweep_bytes(SMALL[0], 3) == sweep_bytes(SMALL[0], 1)
         assert exited == [True]
         assert len(worker_pids()) == 3 and not worker_pids() & pids[0]
@@ -512,7 +515,9 @@ class TestWorkerPool:
             started.append(max_workers)
             return ProcessPoolExecutor(max_workers=max_workers)
 
-        monkeypatch.setattr(reports, "ProcessPoolExecutor", starting)
+        # `reports` looks the class up when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            starting)
         paths = []
         for i, config in enumerate(SMALL):
             paths.append(tmp_path / f"sweep{i}.json")
@@ -537,6 +542,34 @@ class TestWorkerPool:
             "'alpha': ['2']}, 'out': 'unused', 'jobs': 2})\n"
             "print(json.dumps([len(multiprocessing.active_children()), "
             "threading.active_count()]))\n") == [0, 1]
+
+    def test_pool_code_loads_only_with_a_pooled_sweep(self, tmp_path):
+        # importing, `oracle`, `run` and a jobs = 1 sweep load neither
+        # `concurrent.futures` nor `multiprocessing`; a jobs = 2 sweep
+        # loads both, and its rows are the jobs = 1 rows
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(SMALL[0]), encoding="utf-8")
+        codes, before, after = run_python(
+            "import json, sys\n"
+            "import boundwalk, boundwalk.cli as cli\n"
+            "inst, cfg, out = sys.argv[1:]\n"
+            "def loaded():\n"
+            "    return [m in sys.modules for m in ('concurrent.futures', "
+            "'concurrent.futures.process', 'multiprocessing')]\n"
+            "codes = [cli.main(['generate', 'random', '--n', '6', "
+            "'--seed', '1', '--out', inst]), cli.main(['oracle', inst]), "
+            "cli.main(['run', inst, '--explorer', 'adaptive']), "
+            "cli.main(['sweep', cfg, '--jobs', '1', '--out', out + '1'])]\n"
+            "before = loaded()\n"
+            "codes.append(cli.main(['sweep', cfg, '--jobs', '2', "
+            "'--out', out + '2']))\n"
+            "print(json.dumps([codes, before, loaded()]))\n",
+            tmp_path / "inst.json", cfg, tmp_path / "rep")
+        assert codes == [0] * 5
+        assert before == [False] * 3 and after == [True] * 3
+        assert ((tmp_path / "rep2.csv").read_text(encoding="utf-8")
+                == (tmp_path / "rep1.csv").read_text(encoding="utf-8")
+                == sweep_bytes(SMALL[0], 1))
 
     def test_no_worker_outlives_its_interpreter(self, tmp_path):
         cfg = tmp_path / "sweep.json"

@@ -11,8 +11,10 @@ from boundwalk import (AdaptiveExplorer, CoverTask, Distances, Edge,
                        complete_graph, optimal_cover_walk,
                        pessimistic_weights, random_instance, solver,
                        walk_violations)
+from boundwalk.cli import main
 from boundwalk.engine import start_episode, move, FixedAssignment
 from boundwalk.graph import WeightAssignment
+from boundwalk.instance_io import save_instance
 from boundwalk.solver import _suffix_table_np
 from references import _suffix_table_py, worst_case_cover_walk
 
@@ -491,6 +493,49 @@ def test_large_denominators_take_object_tier(monkeypatch):
             bwalk, bcost = brute_force_cover(g, task)
             assert (walk.vertices, cost) == (bwalk.vertices, bcost)
             assert walk_violations(g, walk, w) == []
+
+
+def test_over_budget_table_is_refused_before_its_build(tmp_path, capsys):
+    # a path on 22 vertices whose weights have the first 21 primes as
+    # denominators: the closure is past the int64 guard, so its table of
+    # 20 * 2**19 cells would be `object`, at 48 bytes a cell
+    primes = [p for p in range(2, 74) if all(p % d for d in range(2, p))]
+    g = EstimateGraph(22, [Edge(i, i + 1, F(1, p), F(2, p))
+                           for i, p in enumerate(primes)], 0, 21)
+    w = {i: F(1, p) for i, p in enumerate(primes)}
+    size = 20 * 2**19 * 48
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverCapExceeded, match=f"need {size} bytes"):
+            optimal_cover_walk(g, CoverTask.full_cover(g, w), cap=22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    inst = tmp_path / "primes.json"
+    save_instance(inst, g, WeightAssignment(w))
+    assert main(["oracle", str(inst), "--solver-cap", "22"]) == 2
+    assert f"need {size} bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, dtype", [
+    (30, np.int16), (1 << 20, np.int32), (1 << 40, np.int64),
+    (1 << 50, object)])
+def test_table_budget_refuses_only_object_at_the_cap(entry, dtype,
+                                                     monkeypatch):
+    # under MAX_EXACT_CAP = 22 every fixed-width table fits the budget,
+    # and an `object` one only up to r = 21
+    built = []
+    monkeypatch.setattr(solver, "_suffix_table_np",
+                        lambda D, dest_i, interior, dt: built.append(dt))
+    for r in (21, 22):
+        D = [[0 if a == b else entry for b in range(r)] for a in range(r)]
+        if dtype is object and r == 22:
+            with pytest.raises(SolverCapExceeded, match="over the budget"):
+                solver._suffix_table(D, r - 1, list(range(1, r - 1)))
+        else:
+            solver._suffix_table(D, r - 1, list(range(1, r - 1)))
+    assert built == [dtype] * (1 if dtype is object else 2)
 
 
 def test_lexicographic_tie_breaking():
